@@ -13,15 +13,16 @@
 //!   prefill and decode nodes, so every request's pages migrate over the
 //!   NoC (the Mugi mesh-serving regime).
 //!
-//! Three engines run the same seeded open-loop Poisson workload at each
-//! request count:
+//! The runtime has one engine loop; three entry points into it run the
+//! same seeded open-loop Poisson workload at each request count:
 //!
-//! * `per-step` — the cycle-stepping `Executor` with the whole trace
-//!   materialized and pre-submitted (the original path; skipped at 10⁶,
-//!   where holding a million sessions plus a million stat records is
-//!   exactly the curve this sweep exists to show);
-//! * `event` — the `EventEngine` on the same pre-submitted trace, which
-//!   must produce the identical report (asserted);
+//! * `per-step` — `Executor::run`, one `step` per round, with the whole
+//!   trace materialized and pre-submitted (skipped at 10⁶, where holding a
+//!   million sessions plus a million stat records is exactly the curve this
+//!   sweep exists to show);
+//! * `event` — `EventEngine::run` on the same pre-submitted trace. It runs
+//!   the same loop as `per-step`, so the two rows time one loop through two
+//!   entry points, and their reports must be identical (asserted);
 //! * `event-folded` — the `EventEngine` fed lazily from a `WorkloadStream`,
 //!   folding every retired session into a `StatsFold`, so memory is O(live
 //!   sessions) regardless of the horizon.
@@ -67,8 +68,8 @@ struct SweepConfig {
     disagg: bool,
     counts_full: &'static [usize],
     counts_quick: &'static [usize],
-    /// The per-step oracle's O(total) memory and stat records make it the
-    /// contrast curve, not the scale path; cap how far it is driven.
+    /// The pre-submitted path's O(total) memory and stat records make it
+    /// the contrast curve, not the scale path; cap how far it is driven.
     per_step_cap_full: usize,
     per_step_cap_quick: usize,
 }
@@ -360,7 +361,7 @@ fn main() {
                     None => reference = Some(row.fold),
                     Some(golden) => assert_eq!(
                         golden, &row.fold,
-                        "{} diverged from the per-step oracle at count {count} ({})",
+                        "{} diverged from the per-step run at count {count} ({})",
                         row.engine, cfg.name
                     ),
                 }

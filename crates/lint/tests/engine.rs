@@ -117,6 +117,15 @@ fn hot_path_panic_diagnostics_are_exact() {
 }
 
 #[test]
+fn hot_path_panic_applies_to_the_event_queue() {
+    // The event queue feeds the serving loop on every decision round.
+    assert_eq!(
+        spans("crates/runtime/src/event.rs", PANICS),
+        spans("crates/runtime/src/scheduler.rs", PANICS)
+    );
+}
+
+#[test]
 fn hot_path_panic_only_applies_to_hot_files() {
     assert_eq!(spans("crates/runtime/src/stats.rs", PANICS), vec![]);
 }

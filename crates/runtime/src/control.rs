@@ -35,9 +35,9 @@
 //!    free pages, which systematically over-packs nodes hosting
 //!    long-output sessions.
 //!
-//! Everything here is deterministic integer arithmetic on quantities both
-//! engines observe in the same order, so the per-step executor and the
-//! discrete-event engine stay bit-identical with the controller on.
+//! Everything here is deterministic integer arithmetic on quantities the
+//! engine loop and its per-step test oracle observe in the same order, so
+//! the two stay bit-identical with the controller on.
 
 use crate::placement::PoolRole;
 use serde::{Deserialize, Serialize};

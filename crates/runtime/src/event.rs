@@ -1,24 +1,26 @@
-//! The discrete-event serving engine: the same scheduler, placement,
-//! paging, migration and accounting machinery as [`Executor`], driven by a
-//! binary-heap event queue instead of the per-step outer loop.
+//! The event queue and the streaming front end of the serving engine.
 //!
-//! Two things change, and neither is the simulation's arithmetic:
+//! There is one decision loop, `Executor::advance`: rank the idle nodes,
+//! apply the events due at their clocks, form and dispatch a batch, or jump
+//! the clock. It pops completions from the executor's [`EventQueue`], a
+//! binary heap keyed `(end_cycle, seq)`, merged with at most one staged
+//! arrival. [`Executor::step`] runs one round of it with no streamed
+//! arrivals; [`EventEngine`] adds the two things a long run needs around it:
 //!
-//! * **Completions live in a heap.** The per-step executor re-scans its
-//!   in-flight vector for the earliest completion on every decision; the
-//!   event engine pops it from an [`EventQueue`] keyed `(end_cycle, seq)`.
-//!   `Vec::remove` preserves insertion order and batches are inserted in
-//!   dispatch order, so the per-step tie-break `(end, index)` and the heap
-//!   tie-break `(end, seq)` select the *same* batch — the decision sequence
-//!   is provably identical, which the golden and property suites then pin
-//!   bit for bit.
 //! * **Arrivals stream in lazily.** Instead of materializing a whole trace
 //!   into the scheduler up front, the engine stages one arrival event at a
 //!   time from a [`WorkloadStream`](crate::workload::WorkloadStream) (or
-//!   any request iterator) and submits it when simulated time reaches it.
-//!   Combined with always-on incremental retirement and the
-//!   [`StatsFold`]-based report, memory stays O(live sessions) however
-//!   long the stream runs.
+//!   any request iterator), submitted when simulated time reaches it.
+//! * **Finished sessions fold away.** [`EventEngine::run_stream_folded`]
+//!   retires every finished session into a [`StatsFold`] at each
+//!   completion, so memory stays O(live sessions) however long the stream
+//!   runs.
+//!
+//! The loop's original per-step form — a linear `(end, index)` scan of the
+//! in-flight batches instead of the heap — is kept as a test-only oracle
+//! (`src/oracle.rs`), and a property test holds the two bit-identical.
+//! `Vec::remove` preserves dispatch order, so the scan's tie-break
+//! `(end, index)` and the heap's `(end, seq)` select the same batch.
 //!
 //! Migration retries and swap-in barriers deliberately ride *inside*
 //! completion events rather than as separate heap entries: KV pages are
@@ -28,8 +30,8 @@
 //!
 //! Event submission is passive (admission control aside, submitting a
 //! request affects nothing until a batch forms at or after its arrival), so
-//! lazy submission is equivalent to the oracle's pre-submitted traces for
-//! every state-independent admission configuration. The stateful admission
+//! lazy submission is equivalent to pre-submitted traces for every
+//! state-independent admission configuration. The stateful admission
 //! checks (`max_live_sessions` backpressure, SLO projection) evaluate
 //! against the population *at submission time*, which under lazy submission
 //! is the arrival instant — the more realistic reading, but a divergence
@@ -42,7 +44,6 @@ use crate::request::{Request, RequestId};
 use crate::stats::{RuntimeReport, ScaleReport, StatsFold};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::iter::Peekable;
 
 /// What a popped event asks the engine to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,7 +71,7 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// The event engine's priority queue: node-completion events in a binary
+/// The engine loop's priority queue: node-completion events in a binary
 /// min-heap keyed `(end_cycle, seq)`, plus at most one *staged* arrival —
 /// the stream's next request, so unbounded request streams occupy O(1)
 /// queue memory. Popping merges the two sources in `(time, seq)` order.
@@ -147,13 +148,6 @@ impl EventQueue {
         }
     }
 
-    /// End cycle of the earliest queued completion, ignoring any staged
-    /// arrival (the oracle prefers finishing a pending batch over jumping
-    /// to an earlier arrival, so the engine must be able to ask).
-    pub fn earliest_completion_time(&self) -> Option<u64> {
-        self.completions.peek().map(|&Reverse((t, _, _))| t)
-    }
-
     /// Arrival cycle of the staged arrival, if any.
     pub fn staged_arrival_time(&self) -> Option<u64> {
         self.staged_arrival.as_ref().map(|&(t, _, _)| t)
@@ -166,35 +160,47 @@ impl EventQueue {
             (None, Some(_)) => true,
             _ => false,
         };
-        let event = if take_arrival {
-            let (time, seq, request) = self.staged_arrival.take()?;
-            if time < self.last_arrival_pop {
-                self.arrival_regressions += 1;
-            }
-            self.last_arrival_pop = time;
-            Event { time, seq, kind: EventKind::Arrival(request) }
-        } else {
-            let Reverse((time, seq, flight)) = self.completions.pop()?;
-            if time < self.last_completion_pop {
-                self.completion_regressions += 1;
-            }
-            self.last_completion_pop = time;
-            Event { time, seq, kind: EventKind::Completion { flight } }
-        };
+        if !take_arrival {
+            return self.pop_completion();
+        }
+        let (time, seq, request) = self.staged_arrival.take()?;
+        if time < self.last_arrival_pop {
+            self.arrival_regressions += 1;
+        }
+        self.last_arrival_pop = time;
         self.pops += 1;
-        Some(event)
+        Some(Event { time, seq, kind: EventKind::Arrival(request) })
     }
 
-    /// Pops the earliest completion event, skipping a staged arrival.
-    fn pop_completion(&mut self) -> Option<(u64, u64)> {
+    /// Pops the next event if it fires at or before cycle `t`.
+    pub(crate) fn pop_due(&mut self, t: u64) -> Option<Event> {
+        match self.peek_key() {
+            Some((time, _)) if time <= t => self.pop(),
+            _ => None,
+        }
+    }
+
+    /// Pops the earliest completion, skipping any staged arrival (the loop
+    /// finishes a pending batch before jumping to an earlier arrival).
+    pub(crate) fn pop_completion(&mut self) -> Option<Event> {
         let Reverse((time, seq, flight)) = self.completions.pop()?;
         if time < self.last_completion_pop {
             self.completion_regressions += 1;
         }
         self.last_completion_pop = time;
         self.pops += 1;
-        let _ = seq;
-        Some((time, flight))
+        Some(Event { time, seq, kind: EventKind::Completion { flight } })
+    }
+
+    /// Stages the next request of `stream`, if any, as the arrival event.
+    pub(crate) fn stage_next(&mut self, stream: &mut impl Iterator<Item = Request>) {
+        if let Some(request) = stream.next() {
+            debug_assert!(
+                self.last_arrival_pop <= request.arrival_cycle,
+                "streamed arrivals must be nondecreasing"
+            );
+            self.stage_arrival(request);
+        }
     }
 
     /// Events popped so far.
@@ -220,25 +226,19 @@ impl EventQueue {
     }
 }
 
-/// The discrete-event serving engine. Construction mirrors [`Executor`];
-/// the run paths add lazy request streaming ([`EventEngine::run_stream`])
-/// and an O(live-sessions)-memory folded mode
+/// The streaming front end of the engine loop. Construction mirrors
+/// [`Executor`]; the run paths add lazy request streaming
+/// ([`EventEngine::run_stream`]) and an O(live-sessions)-memory folded mode
 /// ([`EventEngine::run_stream_folded`]).
 #[derive(Clone, Debug)]
 pub struct EventEngine {
     ex: Executor,
-    queue: EventQueue,
 }
 
 impl EventEngine {
     /// Creates a single-node event engine (cf. [`Executor::new`]).
     pub fn new(accel: mugi::MugiAccelerator, scheduler: crate::scheduler::Scheduler) -> Self {
-        EventEngine::with_placement(
-            accel,
-            scheduler,
-            crate::executor::ExecutorConfig::default(),
-            crate::placement::Placement::single_node(),
-        )
+        EventEngine { ex: Executor::new(accel, scheduler) }
     }
 
     /// Creates an event engine dispatching onto a NoC mesh under
@@ -253,14 +253,11 @@ impl EventEngine {
         config: crate::executor::ExecutorConfig,
         placement: crate::placement::Placement,
     ) -> Self {
-        EventEngine {
-            ex: Executor::with_placement(accel, scheduler, config, placement),
-            queue: EventQueue::new(),
-        }
+        EventEngine { ex: Executor::with_placement(accel, scheduler, config, placement) }
     }
 
-    /// Submits a request up front (the materialized-trace path shared with
-    /// the per-step executor).
+    /// Submits a request up front (the materialized-trace path, as
+    /// [`Executor::submit`]).
     ///
     /// # Panics
     /// Panics if admission control rejects the request.
@@ -280,11 +277,11 @@ impl EventEngine {
 
     /// The event queue's observability counters.
     pub fn queue(&self) -> &EventQueue {
-        &self.queue
+        &self.ex.queue
     }
 
-    /// Runs every pre-submitted request to completion and reports —
-    /// bit-identical to [`Executor::run`] on the same inputs.
+    /// Runs every pre-submitted request to completion and reports — the
+    /// same loop as [`Executor::run`].
     pub fn run(&mut self) -> RuntimeReport {
         self.run_stream(std::iter::empty())
     }
@@ -301,10 +298,9 @@ impl EventEngine {
     where
         I: IntoIterator<Item = Request>,
     {
-        let mut stream = stream.into_iter().peekable();
-        self.pull_arrival(&mut stream);
-        let mut fold = None;
-        while self.advance(&mut stream, &mut fold) {}
+        let mut stream = stream.into_iter();
+        self.ex.queue.stage_next(&mut stream);
+        while self.ex.advance(&mut stream, None) {}
         self.ex.report()
     }
 
@@ -316,176 +312,12 @@ impl EventEngine {
     where
         I: IntoIterator<Item = Request>,
     {
-        // Folded retirement replaces the executor-side retirement: stats
-        // must reach the fold, not the executor's retired vector.
-        self.ex.config.retire_finished = false;
-        let mut stream = stream.into_iter().peekable();
-        self.pull_arrival(&mut stream);
-        let mut fold = Some(StatsFold::default());
-        while self.advance(&mut stream, &mut fold) {}
-        let mut fold = fold.expect("fold survives the run");
+        let mut stream = stream.into_iter();
+        self.ex.queue.stage_next(&mut stream);
+        let mut fold = StatsFold::default();
+        while self.ex.advance(&mut stream, Some(&mut fold)) {}
         self.ex.retire_finished_with(|stats| fold.add(&stats));
         self.scale_report(fold)
-    }
-
-    /// Stages the stream's next request as an arrival event.
-    fn pull_arrival<I>(&mut self, stream: &mut Peekable<I>)
-    where
-        I: Iterator<Item = Request>,
-    {
-        if let Some(request) = stream.next() {
-            debug_assert!(
-                self.queue.last_arrival_pop <= request.arrival_cycle,
-                "streamed arrivals must be nondecreasing"
-            );
-            self.queue.stage_arrival(request);
-        }
-    }
-
-    /// Handles a popped event. Returns `true` for completions (the caller
-    /// restarts its decision loop, as the oracle does after a `finish`).
-    fn handle(
-        &mut self,
-        event: Event,
-        stream: &mut Peekable<impl Iterator<Item = Request>>,
-        fold: &mut Option<StatsFold>,
-    ) -> bool {
-        match event.kind {
-            EventKind::Arrival(request) => {
-                // Rejections are the scheduler's to count, as in the
-                // per-step harnesses.
-                let _ = self.ex.try_submit(request);
-                self.pull_arrival(stream);
-                false
-            }
-            EventKind::Completion { flight } => {
-                self.finish_flight(flight, fold);
-                true
-            }
-        }
-    }
-
-    /// Applies the completion effects of the batch dispatched as `flight`,
-    /// then retires what finished (into the fold, when folding).
-    ///
-    /// # Panics
-    /// Panics if the event targets a batch that is no longer in flight —
-    /// the queue invariant every completion event is consumed exactly once.
-    fn finish_flight(&mut self, flight: u64, fold: &mut Option<StatsFold>) {
-        let idx = self
-            .ex
-            .in_flight
-            .iter()
-            .position(|f| f.seq == flight)
-            .expect("completion event targets a batch no longer in flight");
-        self.ex.finish(idx);
-        if let Some(fold) = fold {
-            self.ex.retire_finished_with(|stats| fold.add(&stats));
-        }
-    }
-
-    /// Pops and handles every event due at or before `t`. Returns `true`
-    /// as soon as a completion was applied (the caller must re-derive its
-    /// idle set, exactly like the per-step loop after a `finish`).
-    fn drain_due(
-        &mut self,
-        t: u64,
-        stream: &mut Peekable<impl Iterator<Item = Request>>,
-        fold: &mut Option<StatsFold>,
-    ) -> bool {
-        while let Some((time, _)) = self.queue.peek_key() {
-            if time > t {
-                break;
-            }
-            let event = self.queue.pop().expect("peeked event pops");
-            if self.handle(event, stream, fold) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// One decision round: mirrors [`Executor::step`] exactly, with the
-    /// heap standing in for the in-flight scan and arrival events standing
-    /// in for the pre-submitted trace. Returns `false` when everything —
-    /// submitted, queued and streamed — has finished.
-    fn advance(
-        &mut self,
-        stream: &mut Peekable<impl Iterator<Item = Request>>,
-        fold: &mut Option<StatsFold>,
-    ) -> bool {
-        let mut idle = std::mem::take(&mut self.ex.idle_scratch);
-        let advanced = 'outer: loop {
-            if self.ex.in_flight.is_empty()
-                && self.ex.scheduler.all_finished()
-                && self.queue.is_empty()
-                && stream.peek().is_none()
-            {
-                break false;
-            }
-            idle.clear();
-            idle.extend((0..self.ex.pool.len()).filter(|&i| !self.ex.occupied(i)));
-            if idle.is_empty() {
-                // Every node is busy: the next event must land first (the
-                // oracle finishes its earliest completion; an earlier staged
-                // arrival is passive, so popping it first changes nothing).
-                let event = self.queue.pop().expect("busy nodes imply queued completions");
-                self.handle(event, stream, fold);
-                continue;
-            }
-            idle.sort_by_key(|&i| {
-                let free = self.ex.kv_free_pages(i).ranking();
-                (self.ex.pool.free_at(i), Reverse(free), i)
-            });
-            let primary = idle[0];
-            let now = self.ex.pool.free_at(primary);
-            // Events at or before this node's clock must apply first so the
-            // batch formed at `now` sees their effects.
-            if self.drain_due(now, stream, fold) {
-                continue;
-            }
-            let tries = if self.ex.multi_pool || self.ex.disagg { idle.len() } else { 1 };
-            for &node in &idle[..tries] {
-                let node_now = self.ex.pool.free_at(node);
-                // Later idle nodes have later clocks; events in between must
-                // land before a batch forms at that clock.
-                if self.drain_due(node_now, stream, fold) {
-                    continue 'outer;
-                }
-                // A draining node has no phase: it forms no new batches
-                // until its role flip completes (mirrors the oracle).
-                let Some(phase) = self.ex.phase_for(node) else { continue };
-                if let Some(batch) = self.ex.scheduler.next_micro_batch_phased(
-                    node_now,
-                    self.ex.pool_for(node),
-                    phase,
-                ) {
-                    self.ex.dispatch(node, batch, node_now);
-                    let flight = self.ex.in_flight.last().expect("dispatch queued a batch");
-                    self.queue.push_completion(flight.end, flight.seq);
-                    break 'outer true;
-                }
-            }
-            // Nothing runnable on any idle node's clock: wait for the next
-            // completion — even one later than a staged arrival, matching
-            // the oracle — or jump to the next arrival.
-            if let Some((end, flight)) = self.queue.pop_completion() {
-                self.finish_flight(flight, fold);
-                self.ex.pool.wait_until(primary, end);
-                continue;
-            }
-            let scheduled = self.ex.scheduler.next_arrival_after(now);
-            let staged = self.queue.staged_arrival_time().filter(|&t| t > now);
-            let next = match (scheduled, staged) {
-                (Some(a), Some(b)) => a.min(b),
-                (a, b) => {
-                    a.or(b).expect("unfinished sessions but no runnable work and no future arrival")
-                }
-            };
-            self.ex.pool.wait_all_until(next);
-        };
-        self.ex.idle_scratch = idle;
-        advanced
     }
 
     /// Builds the folded report for the completed run.
@@ -501,7 +333,7 @@ impl EventEngine {
             micro_batches: self.ex.steps(),
             nodes: self.ex.node_clocks().len(),
             peak_live_sessions: self.ex.scheduler().peak_live_sessions(),
-            peak_event_queue: self.queue.peak_len(),
+            peak_event_queue: self.ex.queue.peak_len(),
             kv: self.ex.kv_stats(),
         }
     }
@@ -523,7 +355,6 @@ mod tests {
         q.stage_arrival(Request::new(ModelId::Llama2_7b, 8, 1).arriving_at(300));
         assert_eq!(q.len(), 4);
         assert_eq!(q.peek_key(), Some((200, 2)));
-        assert_eq!(q.earliest_completion_time(), Some(200));
         assert_eq!(q.staged_arrival_time(), Some(300));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
         // Same-time completions pop in push (seq) order.

@@ -27,6 +27,17 @@
 //!   the pages land. Swap-style preemption rides the same machinery in
 //!   reverse.
 //!
+//! The executor owns the one engine loop. Each round ranks the idle nodes
+//! (earliest clock, then most free KV pages), applies every event due at a
+//! node's clock from its [`EventQueue`] — arrivals and batch completions —
+//! then forms and dispatches a batch, or jumps the clock to the next
+//! completion or arrival. [`Executor::step`] runs one round;
+//! [`EventEngine`](crate::event::EventEngine) runs the same rounds while
+//! streaming arrivals in and folding finished sessions away. A per-step
+//! form of the loop that scans the in-flight batches instead of the queue
+//! lives only in the tests (`src/oracle.rs`), as the oracle the loop is
+//! property-tested against.
+//!
 //! Completion effects are applied at the batch's end cycle and sessions
 //! become schedulable again only then, so overlapping execution stays
 //! causal. Step energy is attributed to requests by their token share,
@@ -34,14 +45,15 @@
 //! attended KV as well — a 4096-context decode slot costs more than a
 //! 64-context one.
 
-// mugi-lint: allow(hot-path-panic, "unwrap/expect/indexing here assert documented invariants — dense session ids validated by aidx(), placements that exist for every admitted request, stats present for live sessions; violating them means the simulation state is corrupt and continuing would silently skew results")
+// mugi-lint: allow(hot-path-panic, "unwrap/expect/indexing here assert documented invariants — dense session ids validated by aidx(), placements that exist for every admitted request, stats present for live sessions, one queued completion event per in-flight batch; violating them means the simulation state is corrupt and continuing would silently skew results")
 
 use crate::control::{desired_prefill_nodes, ControlConfig, Drain};
+use crate::event::{Event, EventKind, EventQueue};
 use crate::kv::{AdmissionError, KvFreePages};
 use crate::placement::{NodePool, Placement, PlacementPolicy, PoolRole};
 use crate::request::{Request, RequestId, Session, SessionState};
 use crate::scheduler::{BatchItem, MicroBatch, PhaseFilter, Scheduler};
-use crate::stats::{KvStats, Percentiles, RequestStats, RuntimeReport};
+use crate::stats::{KvStats, Percentiles, RequestStats, RuntimeReport, StatsFold};
 use mugi::arch::cost::CostModel;
 use mugi::MugiAccelerator;
 use mugi_numerics::cast::{u64_from_usize, usize_from_u64};
@@ -66,13 +78,6 @@ pub struct ExecutorConfig {
     /// its prefill. Zero evictions — in particular any unbounded pool —
     /// charge nothing.
     pub fault_stall_cycles: u64,
-    /// Retire finished sessions incrementally: their statistics fold into
-    /// the report as they finish and the scheduler drops them, so neither
-    /// the session window nor the executor's accounting grows without bound
-    /// on long request streams. Off by default — with it on,
-    /// [`Scheduler::sessions`] only exposes the unretired tail (the report
-    /// is unaffected).
-    pub retire_finished: bool,
     /// The adaptive control plane (see [`crate::control`]): dynamic role
     /// reassignment, online SLO calibration and load-aware migration
     /// placement. Fully disabled by default, in which case the executor is
@@ -82,13 +87,11 @@ pub struct ExecutorConfig {
 }
 
 impl Default for ExecutorConfig {
-    /// 128-entry KV pages, 256-cycle page faults, no incremental retirement,
-    /// controller off.
+    /// 128-entry KV pages, 256-cycle page faults, controller off.
     fn default() -> Self {
         ExecutorConfig {
             kv_bucket: 128,
             fault_stall_cycles: 256,
-            retire_finished: false,
             control: ControlConfig::default(),
         }
     }
@@ -115,10 +118,11 @@ pub(crate) struct InFlight {
     pub(crate) start: u64,
     /// Cycle at which the batch finishes and its effects apply.
     pub(crate) end: u64,
-    /// Monotone dispatch sequence number. Completions tie-break on it: the
-    /// per-step executor's `(end, Vec index)` order and the event engine's
-    /// `(end, seq)` heap order pick the same batch, because `Vec::remove`
-    /// preserves insertion order and insertion order *is* seq order.
+    /// Monotone dispatch sequence number, naming the batch's completion
+    /// event. Completions tie-break on it: the heap's `(end, seq)` order and
+    /// the per-step oracle's `(end, Vec index)` order pick the same batch,
+    /// because `Vec::remove` preserves insertion order and insertion order
+    /// *is* seq order.
     pub(crate) seq: u64,
 }
 
@@ -146,7 +150,7 @@ struct FrontEntry {
 /// placement policy and NoC are fixed for an executor's lifetime, so
 /// `(model, slices)` fully determines the estimate; cached values are
 /// bit-copies of the memoized pure-function result and the hash only picks
-/// the slot, so both engines stay bit-identical.
+/// the slot, so the memo cannot perturb a single simulated bit.
 #[derive(Clone, Debug, Default)]
 struct PerfFront {
     /// Lazily sized to [`PerfFront::SLOTS`] on first insert; a colliding
@@ -234,15 +238,15 @@ pub struct Executor {
     pub(crate) cost: CostModel,
     pub(crate) pool: NodePool,
     pub(crate) in_flight: Vec<InFlight>,
+    /// One completion event per in-flight batch, plus the staged arrival
+    /// when an [`EventEngine`](crate::event::EventEngine) streams requests.
+    pub(crate) queue: EventQueue,
     clock_cycles: u64,
     steps: u64,
     accounting: Vec<Accounting>,
-    /// Ids below this have had their accounting retired into
-    /// `retired_stats`; session `id`'s slot lives at `id - acct_base`.
+    /// Ids below this have had their accounting retired; session `id`'s
+    /// slot lives at `id - acct_base`.
     acct_base: usize,
-    /// Statistics of sessions already retired from the scheduler (only
-    /// populated under [`ExecutorConfig::retire_finished`]).
-    retired_stats: Vec<RequestStats>,
     /// NoC energy of retired accounting slots in pJ, folded in id order so
     /// the report total matches a never-retiring run bit for bit.
     retired_noc_energy_pj: f64,
@@ -285,8 +289,7 @@ pub struct Executor {
     /// Reusable per-item energy-share buffer for the same hot path.
     share_scratch: Vec<f64>,
     /// Reusable idle-node buffer for the dispatch loop — re-derived every
-    /// decision round by [`Executor::step`] (and the event engine's mirror),
-    /// so the round allocates nothing.
+    /// decision round, so the round allocates nothing.
     pub(crate) idle_scratch: Vec<usize>,
     /// Executor-local move-to-front memo over the accelerator's estimates:
     /// steady-state dispatches skip the shared cache's hash and mutex.
@@ -296,19 +299,12 @@ pub struct Executor {
 impl Executor {
     /// Creates a single-node executor with the default KV bucketing.
     pub fn new(accel: MugiAccelerator, scheduler: Scheduler) -> Self {
-        Executor::with_config(accel, scheduler, ExecutorConfig::default())
-    }
-
-    /// Creates a single-node executor with an explicit configuration.
-    ///
-    /// # Panics
-    /// Panics if `kv_bucket` is zero.
-    pub fn with_config(
-        accel: MugiAccelerator,
-        scheduler: Scheduler,
-        config: ExecutorConfig,
-    ) -> Self {
-        Executor::with_placement(accel, scheduler, config, Placement::single_node())
+        Executor::with_placement(
+            accel,
+            scheduler,
+            ExecutorConfig::default(),
+            Placement::single_node(),
+        )
     }
 
     /// Creates an executor dispatching onto a NoC mesh under `placement`.
@@ -383,11 +379,11 @@ impl Executor {
             cost,
             pool,
             in_flight: Vec::new(),
+            queue: EventQueue::new(),
             clock_cycles: 0,
             steps: 0,
             accounting,
             acct_base,
-            retired_stats: Vec::new(),
             retired_noc_energy_pj: 0.0,
             multi_pool,
             disagg,
@@ -556,11 +552,6 @@ impl Executor {
         usize_from_u64(id.0).checked_sub(self.acct_base).expect("accounting slot was retired")
     }
 
-    /// Index (into `in_flight`) of the earliest-finishing pending batch.
-    fn earliest_completion(&self) -> Option<usize> {
-        (0..self.in_flight.len()).min_by_key(|&i| (self.in_flight[i].end, i))
-    }
-
     /// Applies the completion effects of `in_flight[idx]`. Under
     /// disaggregated placement this is also where KV handoffs happen:
     /// freshly completed prefills queue for migration, and every pending
@@ -601,9 +592,6 @@ impl Executor {
         // The batch is fully applied: hand its allocations back so the next
         // formation reuses them.
         self.scheduler.recycle(pending.batch);
-        if self.config.retire_finished {
-            self.retire_finished();
-        }
     }
 
     /// Retries every queued KV migration at simulated cycle `now`, oldest
@@ -695,11 +683,11 @@ impl Executor {
         }
     }
 
-    /// One control-plane sample, taken at a completion boundary (both
-    /// engines call [`Executor::finish`], so the controller observes the
-    /// same sequence under either). Advances an in-progress drain toward
-    /// its quiescent flip, or — demand split allowing and cooldown expired —
-    /// starts a new one.
+    /// One control-plane sample, taken at a completion boundary (the loop
+    /// and the per-step oracle both call [`Executor::finish`], so the
+    /// controller observes the same sequence under either). Advances an
+    /// in-progress drain toward its quiescent flip, or — demand split
+    /// allowing and cooldown expired — starts a new one.
     fn role_tick(&mut self, now: u64) {
         if let Some(drain) = self.draining {
             let pool = self.pool_for(drain.node);
@@ -785,22 +773,12 @@ impl Executor {
         self.service_migrations(now);
     }
 
-    /// Folds the statistics of every finished session at the front of the
-    /// session window into `retired_stats` and drops the sessions plus
-    /// their accounting slots.
-    fn retire_finished(&mut self) {
-        let mut retired = std::mem::take(&mut self.retired_stats);
-        self.retire_finished_with(|stats| retired.push(stats));
-        self.retired_stats = retired;
-    }
-
     /// Retires every finished session at the front of the session window —
     /// dropping it from the scheduler, folding its NoC energy and freeing
     /// its accounting slot — streaming each session's statistics into
-    /// `sink` in id order. The per-step executor sinks into
-    /// `retired_stats` for the full report; the event engine's folded mode
-    /// sinks straight into a [`StatsFold`](crate::stats::StatsFold), so
-    /// nothing grows — or allocates — with the request count.
+    /// `sink` in id order. The event engine's folded mode sinks straight
+    /// into a [`StatsFold`], so nothing grows — or allocates — with the
+    /// request count.
     pub(crate) fn retire_finished_with(&mut self, mut sink: impl FnMut(RequestStats)) {
         let prefix = self.scheduler.sessions().iter().take_while(|s| s.is_finished()).count();
         if prefix == 0 {
@@ -820,11 +798,28 @@ impl Executor {
         self.acct_base += retired;
     }
 
-    /// Dispatches one micro-batch. Returns `false` once every submitted
+    /// Runs one round of the engine loop with no streamed arrivals:
+    /// dispatches one micro-batch. Returns `false` once every submitted
     /// request has finished and every pending completion has been applied;
     /// when the only remaining work lies in the future (an arrival, or a
     /// batch still executing on another node), the idle node's clock jumps
     /// forward and execution continues.
+    ///
+    /// # Panics
+    /// Panics if unfinished sessions exist but neither runnable work, nor an
+    /// executing batch, nor a future arrival does (a scheduler invariant
+    /// violation).
+    pub fn step(&mut self) -> bool {
+        self.advance(&mut std::iter::empty(), None)
+    }
+
+    /// One round of the engine loop — the only decision procedure, behind
+    /// [`Executor::step`] and every [`EventEngine`](crate::event::EventEngine)
+    /// run. Dispatches one micro-batch and returns `true`, or returns
+    /// `false` once everything submitted, queued and streamed has finished.
+    /// A popped arrival is submitted and the next one staged from
+    /// `arrivals`; after each completion, finished sessions retire into
+    /// `fold` when one is given.
     ///
     /// With per-node KV pools (bounded data-parallel placement) dispatch
     /// considers every idle node, earliest clock first and — on equal
@@ -833,23 +828,25 @@ impl Executor {
     /// pages to win a batch. With an unbounded pool (or a single pool) only
     /// the earliest idle node is consulted, which is exactly the pre-paging
     /// behaviour.
-    ///
-    /// # Panics
-    /// Panics if unfinished sessions exist but neither runnable work, nor an
-    /// executing batch, nor a future arrival does (a scheduler invariant
-    /// violation).
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn advance(
+        &mut self,
+        arrivals: &mut impl Iterator<Item = Request>,
+        mut fold: Option<&mut StatsFold>,
+    ) -> bool {
         let mut idle = std::mem::take(&mut self.idle_scratch);
-        let stepped = 'outer: loop {
-            if self.in_flight.is_empty() && self.scheduler.all_finished() {
+        let advanced = 'outer: loop {
+            // The queue holds one completion per in-flight batch.
+            if self.queue.is_empty() && self.scheduler.all_finished() {
                 break false;
             }
             idle.clear();
             idle.extend((0..self.pool.len()).filter(|&i| !self.occupied(i)));
             if idle.is_empty() {
-                // Every node is busy: retire the earliest completion first.
-                let idx = self.earliest_completion().expect("busy nodes imply in-flight batches");
-                self.finish(idx);
+                // Every node is busy: the next event must land first (an
+                // earlier staged arrival is passive, so taking it before the
+                // earliest completion changes nothing).
+                let event = self.queue.pop().expect("busy nodes imply queued completions");
+                self.apply(event, arrivals, fold.as_deref_mut());
                 continue;
             }
             idle.sort_by_key(|&i| {
@@ -858,24 +855,16 @@ impl Executor {
             });
             let primary = idle[0];
             let now = self.pool.free_at(primary);
-            // Completions at or before this node's clock must apply first so
-            // the batch formed at `now` sees their effects.
-            if let Some(idx) = self.earliest_completion() {
-                if self.in_flight[idx].end <= now {
-                    self.finish(idx);
-                    continue;
-                }
-            }
             // Disaggregated nodes differ by phase even with a shared or
             // unbounded pool, so every idle node must be tried there too.
             let tries = if self.multi_pool || self.disagg { idle.len() } else { 1 };
             for &node in &idle[..tries] {
                 let node_now = self.pool.free_at(node);
-                // Later idle nodes have later clocks; completions in between
-                // must land before a batch forms at that clock.
-                if let Some(idx) = self.earliest_completion() {
-                    if self.in_flight[idx].end <= node_now {
-                        self.finish(idx);
+                // Events at or before this node's clock land first so a
+                // batch formed at `node_now` sees their effects; a
+                // completion changes the idle set, so the round restarts.
+                while let Some(event) = self.queue.pop_due(node_now) {
+                    if self.apply(event, arrivals, fold.as_deref_mut()) {
                         continue 'outer;
                     }
                 }
@@ -886,21 +875,27 @@ impl Executor {
                     self.scheduler.next_micro_batch_phased(node_now, self.pool_for(node), phase)
                 {
                     self.dispatch(node, batch, node_now);
+                    let flight = self.in_flight.last().expect("dispatch queued a batch");
+                    self.queue.push_completion(flight.end, flight.seq);
                     break 'outer true;
                 }
             }
             // Nothing runnable on any idle node's clock: wait for the next
-            // completion (which may unlock decode work or free pages) or
-            // jump to the next arrival.
-            if let Some(idx) = self.earliest_completion() {
-                let end = self.in_flight[idx].end;
-                self.finish(idx);
+            // completion (which may unlock decode work or free pages) — even
+            // one later than a staged arrival — or jump to the next arrival.
+            if let Some(event) = self.queue.pop_completion() {
+                let end = event.time;
+                self.apply(event, arrivals, fold.as_deref_mut());
                 self.pool.wait_until(primary, end);
                 continue;
             }
+            let staged = self.queue.staged_arrival_time().filter(|&t| t > now);
             let next = self
                 .scheduler
                 .next_arrival_after(now)
+                .into_iter()
+                .chain(staged)
+                .min()
                 .expect("unfinished sessions but no runnable work and no future arrival");
             // With nothing in flight, `next` is the minimum ready time after
             // the earliest idle clock, so no node can dispatch before it:
@@ -909,7 +904,42 @@ impl Executor {
             self.pool.wait_all_until(next);
         };
         self.idle_scratch = idle;
-        stepped
+        advanced
+    }
+
+    /// Applies one popped event. An arrival is submitted (a rejection is
+    /// the scheduler's to count) and the next one staged from `arrivals`; a
+    /// completion applies its batch's effects and retires what finished
+    /// into `fold`, when folding. Returns whether it was a completion.
+    ///
+    /// # Panics
+    /// Panics if a completion targets a batch no longer in flight — the
+    /// queue invariant is that every completion event is consumed once.
+    fn apply(
+        &mut self,
+        event: Event,
+        arrivals: &mut impl Iterator<Item = Request>,
+        fold: Option<&mut StatsFold>,
+    ) -> bool {
+        match event.kind {
+            EventKind::Arrival(request) => {
+                let _ = self.try_submit(request);
+                self.queue.stage_next(arrivals);
+                false
+            }
+            EventKind::Completion { flight } => {
+                let idx = self
+                    .in_flight
+                    .iter()
+                    .position(|f| f.seq == flight)
+                    .expect("completion event targets a batch no longer in flight");
+                self.finish(idx);
+                if let Some(fold) = fold {
+                    self.retire_finished_with(|stats| fold.add(&stats));
+                }
+                true
+            }
+        }
     }
 
     /// Evaluates one micro-batch on the accelerator model, occupies its
@@ -1054,18 +1084,15 @@ impl Executor {
     }
 
     /// Builds the report for the work completed so far. Unfinished sessions
-    /// (if any) are excluded from the per-request statistics; sessions
-    /// retired incrementally ([`ExecutorConfig::retire_finished`]) are
-    /// included from the retired set.
+    /// (if any) are excluded from the per-request statistics, and so are
+    /// sessions already retired into a
+    /// [`run_stream_folded`](crate::event::EventEngine::run_stream_folded)
+    /// fold.
     pub fn report(&self) -> RuntimeReport {
         let freq = self.cost.frequency_hz;
         let to_s = |cycles: u64| cycles as f64 / freq;
-        let mut requests = self.retired_stats.clone();
-        for s in self.scheduler.sessions() {
-            if let Some(stats) = self.session_stats(s) {
-                requests.push(stats);
-            }
-        }
+        let requests: Vec<RequestStats> =
+            self.scheduler.sessions().iter().filter_map(|s| self.session_stats(s)).collect();
         let total_output_tokens: u64 =
             requests.iter().map(|r| u64_from_usize(r.output_tokens)).sum();
         let makespan_s = to_s(self.clock_cycles);

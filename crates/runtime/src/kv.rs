@@ -36,8 +36,8 @@
 //! release/migration move extents rather than pages. None of this is
 //! observable in the simulation: all accounting is in page *counts* and
 //! bytes, allocation succeeds exactly when `free >= n`, and the pre-extent
-//! free-list allocator is retained in [`oracle`] as the property-test
-//! reference.
+//! free-list allocator is retained in `tests/support/kv_oracle.rs` as the
+//! property-test reference.
 //!
 //! Pool invariants (property-tested in `tests/proptests.rs`):
 //!
@@ -45,8 +45,8 @@
 //! * `free + Σ mapped == capacity` after any sequence of operations;
 //! * a table always maps at least [`pages_for`]`(kv_len)` pages while its
 //!   session is live;
-//! * the extent allocator maps the same page *set* as [`oracle`] under
-//!   identical operation sequences.
+//! * the extent allocator maps the same page *set* as that free-list
+//!   reference under identical operation sequences.
 
 // mugi-lint: allow(hot-path-panic, "bitmap word/summary indices are derived from page ids bounded by the pool capacity, and panics enforce allocator invariants (exhausted-pool scan, double map/free); a deterministic simulator must abort on corrupt pool state rather than guess")
 
@@ -349,7 +349,7 @@ fn bit_mask(lo: usize, len: usize) -> u64 {
 /// deterministic, never fails while `free_pages() >= n` (fragmentation
 /// yields more extents, never a refusal), and a page is never mapped twice:
 /// `free + Σ mapped == capacity` is property-tested against the retained
-/// pre-extent free-list implementation ([`oracle`]).
+/// pre-extent free-list implementation (`tests/support/kv_oracle.rs`).
 #[derive(Clone, Debug)]
 pub struct KvPool {
     capacity: usize,
@@ -643,153 +643,6 @@ impl PageTable {
         debug_assert!(ok, "free pages were checked before migrating");
         self.home = Some(to_id);
         Some(count)
-    }
-}
-
-/// The pre-extent page allocator — a LIFO `Vec<PageId>` free list and
-/// per-page tables — retained verbatim as the reference implementation the
-/// extent allocator is property-tested against (`tests/proptests.rs` drives
-/// both on identical operation sequences and compares mapped page *sets*
-/// and every count). Not used on any serving path.
-pub mod oracle {
-    use super::{u32_from_usize, PageId};
-
-    /// Pre-extent [`KvPool`](super::KvPool): an explicit LIFO free list.
-    #[derive(Clone, Debug)]
-    pub struct Pool {
-        capacity: usize,
-        free: Vec<PageId>,
-        peak_used: usize,
-    }
-
-    impl Pool {
-        /// A pool of `capacity` free pages.
-        ///
-        /// # Panics
-        /// Panics if `capacity` is zero.
-        pub fn bounded(capacity: usize) -> Self {
-            assert!(capacity > 0, "a KV pool needs at least one page");
-            // Reversed so page p0 is handed out first (LIFO free list).
-            let free = (0..u32_from_usize(capacity)).rev().map(PageId).collect();
-            Pool { capacity, free, peak_used: 0 }
-        }
-
-        /// Total pages the pool holds.
-        pub fn capacity(&self) -> usize {
-            self.capacity
-        }
-
-        /// Pages currently unmapped.
-        pub fn free_pages(&self) -> usize {
-            self.free.len()
-        }
-
-        /// Pages currently mapped by some table.
-        pub fn used_pages(&self) -> usize {
-            self.capacity - self.free.len()
-        }
-
-        /// High-water mark of mapped pages.
-        pub fn peak_used_pages(&self) -> usize {
-            self.peak_used
-        }
-
-        /// Takes `n` pages from the free list, or `None` (pool unchanged)
-        /// if fewer than `n` are free.
-        pub fn alloc(&mut self, n: usize) -> Option<Vec<PageId>> {
-            if self.free.len() < n {
-                return None;
-            }
-            let pages = self.free.split_off(self.free.len() - n);
-            self.peak_used = self.peak_used.max(self.used_pages());
-            Some(pages)
-        }
-
-        /// Returns pages to the free list.
-        pub fn release(&mut self, pages: Vec<PageId>) {
-            debug_assert!(
-                self.free.len() + pages.len() <= self.capacity,
-                "released more pages than the pool holds"
-            );
-            self.free.extend(pages);
-        }
-    }
-
-    /// Pre-extent [`PageTable`](super::PageTable): one handle per page.
-    #[derive(Clone, Debug, Default, PartialEq, Eq)]
-    pub struct Table {
-        pages: Vec<PageId>,
-        home: Option<usize>,
-    }
-
-    impl Table {
-        /// An empty, homeless table.
-        pub fn new() -> Self {
-            Table::default()
-        }
-
-        /// Pages currently mapped.
-        pub fn mapped_pages(&self) -> usize {
-            self.pages.len()
-        }
-
-        /// The mapped page handles.
-        pub fn pages(&self) -> &[PageId] {
-            &self.pages
-        }
-
-        /// Pool index the session's KV lives on, or `None` while no page
-        /// is mapped.
-        pub fn home(&self) -> Option<usize> {
-            self.home
-        }
-
-        /// Whether the table may allocate from pool `pool`.
-        pub fn admissible_on(&self, pool: usize) -> bool {
-            self.home.is_none_or(|h| h == pool)
-        }
-
-        /// Grows the table to `target_pages` mapped pages out of `pool`.
-        ///
-        /// # Panics
-        /// Panics if the table is homed to a different pool.
-        pub fn grow(&mut self, pool_id: usize, pool: &mut Pool, target_pages: usize) -> bool {
-            assert!(self.admissible_on(pool_id), "page table homed to a different pool");
-            let needed = target_pages.saturating_sub(self.pages.len());
-            if needed == 0 {
-                return true;
-            }
-            let Some(mut fresh) = pool.alloc(needed) else {
-                return false;
-            };
-            self.pages.append(&mut fresh);
-            self.home = Some(pool_id);
-            true
-        }
-
-        /// Releases every mapped page back into `pool` and forgets the
-        /// home. Returns how many pages were released.
-        pub fn release_all(&mut self, pool: &mut Pool) -> usize {
-            let released = self.pages.len();
-            pool.release(std::mem::take(&mut self.pages));
-            self.home = None;
-            released
-        }
-
-        /// Moves every mapped page from `from` into `to` (pool index
-        /// `to_id`), re-homing the table.
-        ///
-        /// # Panics
-        /// Panics if the table maps no pages or `to_id` is already home.
-        pub fn migrate(&mut self, from: &mut Pool, to_id: usize, to: &mut Pool) -> Option<usize> {
-            assert!(!self.pages.is_empty(), "an empty table has nothing to migrate");
-            assert_ne!(self.home, Some(to_id), "migration target is already the home pool");
-            let count = self.pages.len();
-            let fresh = to.alloc(count)?;
-            from.release(std::mem::replace(&mut self.pages, fresh));
-            self.home = Some(to_id);
-            Some(count)
-        }
     }
 }
 

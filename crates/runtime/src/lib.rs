@@ -26,12 +26,11 @@
 //!   [`MugiAccelerator`](mugi::MugiAccelerator) nodes over the scheduled
 //!   micro-batches (composed into mixed prefill/decode operator traces,
 //!   cached per shape), charges NoC transfer energy for inter-node movement
-//!   and keeps per-request cycle/energy accounting;
-//! * [`event`] — the discrete-event [`EventEngine`]: the same machinery
-//!   driven by a binary-heap [`EventQueue`] of arrival/completion events
-//!   instead of the per-step outer loop, bit-identical to the [`Executor`]
-//!   (the golden/property suites pin this) while serving lazily-streamed
-//!   workloads of millions of requests in O(live sessions) memory;
+//!   and keeps per-request cycle/energy accounting; its one engine loop
+//!   pops arrival/completion events from a binary-heap [`EventQueue`];
+//! * [`event`] — the [`EventQueue`] and the [`EventEngine`], which feeds
+//!   that loop lazily-streamed workloads of millions of requests and folds
+//!   finished sessions away, in O(live sessions) memory;
 //! * [`control`] — the adaptive control plane: a feedback controller
 //!   sampled at batch-completion boundaries that re-rolls node roles toward
 //!   the live prefill:decode demand split (quiescent handoffs), calibrates
@@ -71,6 +70,8 @@ pub mod control;
 pub mod event;
 pub mod executor;
 pub mod kv;
+#[cfg(test)]
+mod oracle;
 pub mod placement;
 pub mod request;
 pub mod scheduler;

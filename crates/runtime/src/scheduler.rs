@@ -1,10 +1,10 @@
 //! The continuous-batching scheduler: turns a population of sessions into a
 //! stream of micro-batches.
 //!
-//! Each call to [`Scheduler::next_micro_batch`] assembles one micro-batch for
-//! one model under two hard caps — at most `max_batch` requests and at most
-//! `token_budget` tokens — interleaving the two phases the way production
-//! LLM servers do:
+//! Each call to [`Scheduler::next_micro_batch_phased`] assembles one
+//! micro-batch for one model under two hard caps — at most `max_batch`
+//! requests and at most `token_budget` tokens — interleaving the two phases
+//! the way production LLM servers do:
 //!
 //! 1. **Decode first.** Every in-flight (decoding) session of the chosen
 //!    model gets a one-token decode slot, so ongoing generations are never
@@ -32,7 +32,8 @@
 //! Under a bounded [`KvConfig`] the scheduler also owns the physical
 //! [`KvPool`]s (one per data-parallel node, or one aggregate pool under
 //! sharded placement) and every micro-batch formation is a paging
-//! transaction against the pool passed to [`Scheduler::next_micro_batch_on`]:
+//! transaction against the pool passed to
+//! [`Scheduler::next_micro_batch_phased`]:
 //!
 //! * a **decode slot** needs its session's table to cover `kv_len + 1`
 //!   entries; when the pool is short, the scheduler *preempts* — it evicts
@@ -1064,35 +1065,23 @@ impl Scheduler {
                 || self.sessions[self.sidx(id)].page_table.admissible_on(pool))
     }
 
-    /// Assembles the next micro-batch at simulated cycle `now` against KV
-    /// pool 0 — the single-node / sharded view. A data-parallel multi-node
-    /// executor uses [`Scheduler::next_micro_batch_on`] with the target
-    /// node's pool instead. Returns `None` when no session has runnable
-    /// work (all finished, everything runnable already in flight, blocked on
-    /// KV pages, or only future arrivals remain).
-    pub fn next_micro_batch(&mut self, now: u64) -> Option<MicroBatch> {
-        self.next_micro_batch_on(now, 0)
-    }
-
     /// Assembles the next micro-batch at simulated cycle `now` for the node
-    /// whose KV lives in pool `pool`. Scheduled sessions are marked in
-    /// flight until [`Scheduler::complete`] is called for the batch, so
-    /// overlapping micro-batches on different nodes never share a session.
+    /// whose KV lives in pool `pool` (0 on a single node or a sharded mesh),
+    /// restricted to `phase`: [`PhaseFilter::Both`] is the colocated
+    /// behaviour, while a disaggregated executor forms
+    /// [`PhaseFilter::PrefillOnly`] batches on prefill nodes and
+    /// [`PhaseFilter::DecodeOnly`] batches on decode nodes. Returns `None`
+    /// when no session has runnable work (all finished, everything runnable
+    /// already in flight, blocked on KV pages, or only future arrivals
+    /// remain). Scheduled sessions are marked in flight until
+    /// [`Scheduler::complete`] is called for the batch, so overlapping
+    /// micro-batches on different nodes never share a session.
     ///
     /// Under a bounded [`KvConfig`] the formation is a paging transaction:
     /// decode growth and prefill chunks allocate pages from `pool`,
     /// preempting most-recently-admitted page holders when it runs dry (see
     /// the module docs). Models whose eligible sessions are all blocked on
     /// pages are skipped in favour of the next least-recently-served one.
-    pub fn next_micro_batch_on(&mut self, now: u64, pool: usize) -> Option<MicroBatch> {
-        self.next_micro_batch_phased(now, pool, PhaseFilter::Both)
-    }
-
-    /// Like [`Scheduler::next_micro_batch_on`], but restricted to `phase`:
-    /// a disaggregated executor forms [`PhaseFilter::PrefillOnly`] batches
-    /// on prefill nodes and [`PhaseFilter::DecodeOnly`] batches on decode
-    /// nodes. [`PhaseFilter::Both`] is the colocated behaviour and is
-    /// exactly what [`Scheduler::next_micro_batch_on`] delegates to.
     pub fn next_micro_batch_phased(
         &mut self,
         now: u64,
@@ -1693,7 +1682,7 @@ mod tests {
         let a = sched.submit(request(ModelId::Llama2_7b, 100, 4));
         let b = sched.submit(request(ModelId::Llama2_7b, 40, 4));
         // First batch: no decodes yet, two prefill chunks (32 + 32 = 64).
-        let batch = sched.next_micro_batch(0).unwrap();
+        let batch = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         assert_eq!(batch.items.len(), 2);
         assert_eq!(batch.total_tokens(), 64);
         assert!(batch.items.iter().all(|i| i.phase == Phase::Prefill));
@@ -1704,13 +1693,13 @@ mod tests {
         sched.complete(&batch, 10);
         // b finished its prompt? 40 > 32, so both still prefilling. Second
         // batch continues the chunks.
-        let batch2 = sched.next_micro_batch(10).unwrap();
+        let batch2 = sched.next_micro_batch_phased(10, 0, PhaseFilter::Both).unwrap();
         assert_eq!(batch2.items[0].tokens, 32); // a: 100 - 32 = 68 left, next 32
         assert_eq!(batch2.items[1].tokens, 8); // b: 40 - 32 = 8 left
         sched.complete(&batch2, 20);
         // b's prefill completed: it now holds a decode slot ahead of a's
         // remaining prefill.
-        let batch3 = sched.next_micro_batch(20).unwrap();
+        let batch3 = sched.next_micro_batch_phased(20, 0, PhaseFilter::Both).unwrap();
         assert_eq!(batch3.items[0].id, b);
         assert_eq!(batch3.items[0].phase, Phase::Decode);
         assert_eq!(batch3.items[1].id, a);
@@ -1735,7 +1724,9 @@ mod tests {
         let mut since_served = vec![0usize; models.len()];
         let mut now = 0;
         for _ in 0..60 {
-            let Some(batch) = sched.next_micro_batch(now) else { break };
+            let Some(batch) = sched.next_micro_batch_phased(now, 0, PhaseFilter::Both) else {
+                break;
+            };
             for (mi, m) in models.iter().enumerate() {
                 if *m == batch.model {
                     since_served[mi] = 0;
@@ -1759,13 +1750,16 @@ mod tests {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         let a = sched.submit(request(ModelId::Llama2_7b, 64, 8));
         let b = sched.submit(request(ModelId::Llama2_7b, 64, 8));
-        let first = sched.next_micro_batch(0).unwrap();
+        let first = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         assert_eq!(first.items.len(), 2, "both prompts fit one batch");
         assert_eq!(sched.in_flight_count(), 2);
-        assert!(sched.next_micro_batch(0).is_none(), "everything runnable is in flight");
+        assert!(
+            sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).is_none(),
+            "everything runnable is in flight"
+        );
         sched.complete(&first, 10);
         assert_eq!(sched.in_flight_count(), 0);
-        let second = sched.next_micro_batch(10).unwrap();
+        let second = sched.next_micro_batch_phased(10, 0, PhaseFilter::Both).unwrap();
         let ids: Vec<RequestId> = second.items.iter().map(|i| i.id).collect();
         assert!(ids.contains(&a) && ids.contains(&b), "completion frees the sessions");
     }
@@ -1777,11 +1771,14 @@ mod tests {
         // its input token.
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(request(ModelId::Llama2_7b, 64, 4));
-        let prefill = sched.next_micro_batch(0).unwrap();
+        let prefill = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         sched.complete(&prefill, 500);
-        assert!(sched.next_micro_batch(100).is_none(), "token only exists at cycle 500");
+        assert!(
+            sched.next_micro_batch_phased(100, 0, PhaseFilter::Both).is_none(),
+            "token only exists at cycle 500"
+        );
         assert_eq!(sched.next_arrival_after(100), Some(500));
-        assert!(sched.next_micro_batch(500).is_some());
+        assert!(sched.next_micro_batch_phased(500, 0, PhaseFilter::Both).is_some());
     }
 
     #[test]
@@ -1795,7 +1792,7 @@ mod tests {
         });
         sched.submit(request(ModelId::Llama2_7b, 400, 2));
         let short = sched.submit(request(ModelId::Llama2_7b, 50, 2));
-        let batch = sched.next_micro_batch(0).unwrap();
+        let batch = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         assert_eq!(batch.items[0].id, short, "shortest prompt admitted first");
     }
 
@@ -1804,8 +1801,8 @@ mod tests {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(request(ModelId::Llama2_7b, 64, 8));
         sched.submit(request(ModelId::Llama2_70b, 64, 8));
-        let first = sched.next_micro_batch(0).unwrap();
-        let second = sched.next_micro_batch(0).unwrap();
+        let first = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
+        let second = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         assert_ne!(first.model, second.model);
     }
 
@@ -1813,7 +1810,7 @@ mod tests {
     fn prefill_completion_emits_first_token_and_transitions_to_decode() {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         let id = sched.submit(request(ModelId::Llama2_7b, 64, 3));
-        let batch = sched.next_micro_batch(0).unwrap();
+        let batch = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         sched.complete(&batch, 100);
         let s = sched.session(id);
         assert_eq!(s.state, SessionState::Decoding);
@@ -1821,7 +1818,7 @@ mod tests {
         assert_eq!(s.first_token_cycle, Some(100));
         // Two decode steps finish the request.
         for t in [200, 300] {
-            let b = sched.next_micro_batch(t - 100).unwrap();
+            let b = sched.next_micro_batch_phased(t - 100, 0, PhaseFilter::Both).unwrap();
             assert_eq!(b.items[0].phase, Phase::Decode);
             sched.complete(&b, t);
         }
@@ -1830,16 +1827,16 @@ mod tests {
         assert_eq!(s.generated_tokens, 3);
         assert_eq!(s.finish_cycle, Some(300));
         assert!(sched.all_finished());
-        assert!(sched.next_micro_batch(400).is_none());
+        assert!(sched.next_micro_batch_phased(400, 0, PhaseFilter::Both).is_none());
     }
 
     #[test]
     fn future_arrivals_wait_and_are_reported() {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(request(ModelId::Llama2_7b, 16, 1).arriving_at(1000));
-        assert!(sched.next_micro_batch(0).is_none());
+        assert!(sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).is_none());
         assert_eq!(sched.next_arrival_after(0), Some(1000));
-        assert!(sched.next_micro_batch(1000).is_some());
+        assert!(sched.next_micro_batch_phased(1000, 0, PhaseFilter::Both).is_some());
     }
 
     #[test]
@@ -1931,7 +1928,7 @@ mod tests {
         while !sched.all_finished() {
             steps += 1;
             assert!(steps < 10_000, "scheduler failed to drain (livelock)");
-            if let Some(batch) = sched.next_micro_batch(now) {
+            if let Some(batch) = sched.next_micro_batch_phased(now, 0, PhaseFilter::Both) {
                 now += 1;
                 sched.complete(&batch, now);
             } else {
@@ -2029,7 +2026,7 @@ mod tests {
         );
         sched.submit(request(ModelId::Llama2_7b, 8, 5)); // peak: pages_for(13) = 4 pages
         let late = sched.submit(request(ModelId::Llama2_7b, 8, 2));
-        let first = sched.next_micro_batch(0).unwrap();
+        let first = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         // Only the first prompt fits: 8 + 1 emitted token = 3 pages, leaving
         // one free page — short of the second prompt's 3-page need.
         assert_eq!(first.items.len(), 1, "the second prefill must be deferred");
@@ -2120,16 +2117,16 @@ mod tests {
         sched.configure_kv_pools(2, 1);
         let a = sched.submit(request(ModelId::Llama2_7b, 4, 4));
         let b = sched.submit(request(ModelId::Llama2_7b, 4, 4));
-        let on_zero = sched.next_micro_batch_on(0, 0).unwrap();
+        let on_zero = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         assert_eq!(on_zero.items.len(), 2, "both prompts fit pool 0");
         sched.complete(&on_zero, 1);
         assert_eq!(sched.session(a).page_table.home(), Some(0));
         assert_eq!(sched.session(b).page_table.home(), Some(0));
         assert!(
-            sched.next_micro_batch_on(1, 1).is_none(),
+            sched.next_micro_batch_phased(1, 1, PhaseFilter::Both).is_none(),
             "homed sessions are not eligible on another node's pool"
         );
-        let again = sched.next_micro_batch_on(1, 0).unwrap();
+        let again = sched.next_micro_batch_phased(1, 0, PhaseFilter::Both).unwrap();
         assert_eq!(again.decode_slots(), 2);
     }
 
@@ -2157,9 +2154,9 @@ mod tests {
         let a = sched.submit(request(ModelId::Llama2_7b, 4, 6));
         let b = sched.submit(request(ModelId::Llama2_7b, 4, 6));
         let c = sched.submit(request(ModelId::Llama2_7b, 4, 6));
-        let p1 = sched.next_micro_batch(0).unwrap();
+        let p1 = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         assert_eq!(ids(&p1), vec![a, b]);
-        let p2 = sched.next_micro_batch(0).unwrap();
+        let p2 = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         assert_eq!(ids(&p2), vec![c], "overlapping batch picks up the third prompt");
         sched.complete(&p1, 1);
         sched.complete(&p2, 1);
@@ -2167,7 +2164,7 @@ mod tests {
         let expected = [vec![a, b], vec![c, a], vec![b, c], vec![a, b], vec![c, a]];
         let mut now = 1;
         for want in expected {
-            let batch = sched.next_micro_batch(now).unwrap();
+            let batch = sched.next_micro_batch_phased(now, 0, PhaseFilter::Both).unwrap();
             assert_eq!(ids(&batch), want, "rotation diverged at cycle {now}");
             assert!(batch.items.iter().all(|i| i.phase == Phase::Decode));
             now += 1;
@@ -2190,14 +2187,14 @@ mod tests {
         let a = sched.submit(request(ModelId::Llama2_7b, 4, 6));
         let b = sched.submit(request(ModelId::Llama2_7b, 4, 6));
         let c = sched.submit(request(ModelId::Llama2_7b, 4, 6));
-        let p1 = sched.next_micro_batch(0).unwrap();
-        let p2 = sched.next_micro_batch(0).unwrap();
+        let p1 = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
+        let p2 = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         sched.complete(&p1, 1);
         sched.complete(&p2, 1);
         let mut now = 1;
         // a and b need five decode slots each; every batch is [a, b].
         for _ in 0..5 {
-            let batch = sched.next_micro_batch(now).unwrap();
+            let batch = sched.next_micro_batch_phased(now, 0, PhaseFilter::Both).unwrap();
             assert_eq!(ids(&batch), vec![a, b]);
             now += 1;
             sched.complete(&batch, now);
@@ -2245,7 +2242,7 @@ mod tests {
         assert_eq!(sched.rejected_count(), 1);
         // Once the prompt prefills, the backlog drains and admission opens
         // again (decoding sessions carry no prefill backlog).
-        let batch = sched.next_micro_batch(0).unwrap();
+        let batch = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         sched.complete(&batch, 1);
         assert!(sched.try_submit(request(ModelId::Llama2_7b, 100, 2)).is_ok());
         // A 101-token prompt alone projects to 1010: rejected on arrival.
@@ -2285,7 +2282,7 @@ mod tests {
         let a = sched.submit(request(ModelId::Llama2_7b, 8, 1));
         let b = sched.submit(request(ModelId::Llama2_7b, 600, 1));
         // a finishes in one chunk; b still has prefill left.
-        let batch = sched.next_micro_batch(0).unwrap();
+        let batch = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         sched.complete(&batch, 1);
         assert!(sched.session(a).is_finished());
         assert!(!sched.session(b).is_finished());
@@ -2298,7 +2295,7 @@ mod tests {
         // The rest of the run drains normally.
         let mut now = 1;
         while !sched.all_finished() {
-            let batch = sched.next_micro_batch(now).unwrap();
+            let batch = sched.next_micro_batch_phased(now, 0, PhaseFilter::Both).unwrap();
             now += 1;
             sched.complete(&batch, now);
         }

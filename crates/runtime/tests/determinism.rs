@@ -9,7 +9,7 @@
 //! consequence: two independently constructed schedulers fed the identical
 //! workload must form byte-for-byte identical micro-batch sequences.
 
-use mugi_runtime::{synthetic_requests, Scheduler, SchedulerConfig, WorkloadSpec};
+use mugi_runtime::{synthetic_requests, PhaseFilter, Scheduler, SchedulerConfig, WorkloadSpec};
 use mugi_workloads::models::ModelId;
 use mugi_workloads::ops::Phase;
 
@@ -24,7 +24,7 @@ fn batch_trace(mut sched: Scheduler) -> Vec<(u64, ModelId, Vec<(u64, Phase, usiz
     let mut trace = Vec::new();
     let mut now = 0;
     while !sched.all_finished() {
-        if let Some(batch) = sched.next_micro_batch(now) {
+        if let Some(batch) = sched.next_micro_batch_phased(now, 0, PhaseFilter::Both) {
             trace.push((
                 now,
                 batch.model,

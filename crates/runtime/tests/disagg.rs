@@ -6,8 +6,9 @@
 use mugi::arch::noc::NocConfig;
 use mugi::MugiAccelerator;
 use mugi_runtime::{
-    pages_for, synthetic_requests, DecodeOrder, Executor, ExecutorConfig, KvConfig, Placement,
-    Request, RuntimeReport, Scheduler, SchedulerConfig, WorkloadSpec, KV_BITS,
+    pages_for, synthetic_requests, DecodeOrder, EventEngine, Executor, ExecutorConfig, KvConfig,
+    Placement, Request, RuntimeReport, Scheduler, SchedulerConfig, StatsFold, WorkloadSpec,
+    KV_BITS,
 };
 use mugi_workloads::models::ModelId;
 
@@ -326,35 +327,32 @@ fn disaggregation_beats_colocated_decode_tpot_under_long_prefills() {
 
 #[test]
 fn incremental_retirement_matches_the_unretired_report() {
-    // The same workload with and without incremental retirement must
-    // produce identical reports — retirement only changes *when* statistics
-    // are folded in, never their values — while keeping the scheduler's
-    // session window bounded instead of growing with every submission.
+    // Folding every finished session away as it finishes must reproduce
+    // the unretired report's statistics exactly — retirement only changes
+    // *when* statistics are folded in, never their values — while keeping
+    // the scheduler's session window bounded instead of growing with every
+    // submission.
     let requests = synthetic_requests(9, 32, &[MODEL], WorkloadSpec::default());
-    let run = |retire_finished: bool| {
-        let mut ex = Executor::with_config(
-            MugiAccelerator::new(64),
-            Scheduler::new(SchedulerConfig::default()),
-            ExecutorConfig { retire_finished, ..ExecutorConfig::default() },
-        );
-        for r in &requests {
-            ex.submit(*r);
-        }
-        let report = ex.run();
-        (ex, report)
-    };
-    let (keep_ex, keep) = run(false);
-    let (retire_ex, retire) = run(true);
-    assert_eq!(keep, retire, "retirement must not perturb the report at all");
-    assert_eq!(keep_ex.scheduler().sessions().len(), requests.len());
+    let mut full_ex =
+        Executor::new(MugiAccelerator::new(64), Scheduler::new(SchedulerConfig::default()));
+    for r in &requests {
+        full_ex.submit(*r);
+    }
+    let full = full_ex.run();
+    let mut engine =
+        EventEngine::new(MugiAccelerator::new(64), Scheduler::new(SchedulerConfig::default()));
+    let folded = engine.run_stream_folded(requests.iter().copied());
     assert_eq!(
-        retire_ex.scheduler().sessions().len(),
-        0,
-        "every finished session must have been retired"
+        folded.fold,
+        StatsFold::of_report(&full),
+        "retirement must not perturb the statistics at all"
     );
-    assert_eq!(retire_ex.scheduler().retired_session_count(), requests.len());
-    assert_eq!(retire_ex.scheduler().submitted_count(), requests.len());
-    assert!(retire_ex.scheduler().all_finished());
+    assert_eq!(full_ex.scheduler().sessions().len(), requests.len());
+    let retired = engine.executor().scheduler();
+    assert_eq!(retired.sessions().len(), 0, "every finished session must have been retired");
+    assert_eq!(retired.retired_session_count(), requests.len());
+    assert_eq!(retired.submitted_count(), requests.len());
+    assert!(retired.all_finished());
 }
 
 #[test]

@@ -5,9 +5,11 @@
 //! The golden fingerprints below were captured by running the per-step
 //! `Executor` at commit e0e057f on the exact scenarios in this file: every
 //! float is pinned via `to_bits`, so any perturbation — however small —
-//! fails. The event engine must reproduce each one exactly (FP-sum order
-//! preserved), which proves the discrete-event reorganization changes *how*
-//! the simulation is driven, never *what* it computes.
+//! fails. `Executor::run` and the event engine must reproduce each one
+//! exactly (FP-sum order preserved), which proves the discrete-event
+//! reorganization changes *how* the simulation is driven, never *what* it
+//! computes. The differential check against the per-step form of the loop
+//! is the oracle property in `src/oracle.rs`.
 
 use mugi::arch::noc::NocConfig;
 use mugi::MugiAccelerator;
@@ -59,7 +61,7 @@ fn fingerprint(report: &RuntimeReport) -> Vec<u64> {
 }
 
 /// One golden scenario: a workload plus the full engine configuration, so
-/// the per-step oracle and the event engine can both be built from it.
+/// the executor and the event engine can both be built from it.
 struct Scenario {
     name: &'static str,
     requests: Vec<Request>,
@@ -140,7 +142,7 @@ fn scenarios() -> Vec<Scenario> {
     out
 }
 
-/// Runs one scenario on the per-step executor.
+/// Runs one scenario through `Executor::run`, one `step` at a time.
 fn run_per_step(s: &Scenario) -> RuntimeReport {
     let mut ex = Executor::with_placement(
         MugiAccelerator::new(64),
@@ -321,8 +323,7 @@ fn print_fingerprints() {
     }
 }
 
-/// The per-step executor must keep matching the digests captured at
-/// e0e057f: the refactor that extracted its core must not perturb it.
+/// `Executor::run` must keep matching the digests captured at e0e057f.
 #[test]
 fn per_step_executor_matches_goldens() {
     for s in scenarios() {
@@ -352,7 +353,7 @@ fn event_engine_matches_goldens() {
 }
 
 /// Beyond the digest: the *entire* reports — every per-request stat, every
-/// float — must be equal between the oracle and the event engine.
+/// float — must be equal between the two entry points into the loop.
 #[test]
 fn event_engine_reports_equal_per_step_reports_exactly() {
     for s in scenarios() {

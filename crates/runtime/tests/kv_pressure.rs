@@ -252,8 +252,8 @@ fn soak_pool_sizes_policies_and_placements_all_drain() {
     }
 }
 
-/// Regression for the `unwrap_or(usize::MAX)` placement bug: both engines'
-/// idle-node sorts rank nodes by `Executor::kv_free_pages`, which used to
+/// Regression for the `unwrap_or(usize::MAX)` placement bug: the engine
+/// loop's idle-node sort ranks nodes by `Executor::kv_free_pages`, which used to
 /// answer `None` for an out-of-range pool index — indistinguishable from an
 /// unbounded pool, so an indexing bug would silently rank the broken node
 /// as infinitely free. Valid indices must answer with the real headroom on

@@ -6,22 +6,25 @@
 //! makespan, 1×1 placement bit-identical to the single-node executor), the
 //! paging invariants (pages never double-mapped, `free + Σ mapped ==
 //! capacity` after any op sequence, an unbounded pool bit-identical to a
-//! never-full bounded one), and the event-engine invariants (full-report
-//! bit-identity to the per-step oracle across every placement policy,
-//! nondecreasing event-queue pops, session-arena slots never aliased while
-//! live).
+//! never-full bounded one), and the event-engine invariants (streamed runs
+//! bit-identical to pre-submitted ones, nondecreasing event-queue pops,
+//! session-arena slots never aliased while live). The engine loop's
+//! bit-identity to the per-step oracle is a unit property next to the
+//! oracle, in `src/oracle.rs`.
 
 use mugi::arch::noc::NocConfig;
 use mugi::MugiAccelerator;
-use mugi_runtime::kv::oracle as kv_oracle;
 use mugi_runtime::{
     pages_for, EventEngine, EventQueue, Executor, ExecutorConfig, KvConfig, KvPool, PageId,
-    PageTable, Placement, Request, Scheduler, SchedulerConfig, SchedulingPolicy, SessionArena,
-    KV_BITS,
+    PageTable, PhaseFilter, Placement, Request, Scheduler, SchedulerConfig, SchedulingPolicy,
+    SessionArena, KV_BITS,
 };
 use mugi_runtime::{Session, SessionState};
 use mugi_workloads::models::ModelId;
 use proptest::prelude::*;
+use support::kv_oracle;
+
+mod support;
 
 prop_compose! {
     fn request_strategy()(
@@ -141,7 +144,7 @@ proptest! {
         while !sched.all_finished() {
             steps += 1;
             prop_assert!(steps <= cap, "scheduler made no progress (starvation)");
-            if let Some(batch) = sched.next_micro_batch(now) {
+            if let Some(batch) = sched.next_micro_batch_phased(now, 0, PhaseFilter::Both) {
                 // The hard caps hold for every micro-batch.
                 prop_assert!(batch.items.len() <= config.max_batch);
                 prop_assert!(batch.total_tokens() <= config.token_budget);
@@ -671,7 +674,7 @@ proptest! {
             if sched.all_finished() {
                 break;
             }
-            match sched.next_micro_batch(now) {
+            match sched.next_micro_batch_phased(now, 0, PhaseFilter::Both) {
                 Some(batch) => {
                     prop_assert!(batch.decode_slots() <= requests.len());
                     // A session appears at most once per micro-batch.
@@ -688,64 +691,6 @@ proptest! {
                 },
             }
         }
-    }
-
-    #[test]
-    fn event_engine_is_bit_identical_to_the_per_step_oracle(
-        requests in prop::collection::vec(small_request_strategy(), 1..10),
-        placement in placement_strategy(),
-        bounded in any::<bool>(),
-        swap in any::<bool>(),
-        headroom in 0usize..3,
-    ) {
-        // The tentpole property: on any workload, any placement policy and
-        // any KV regime — unbounded, bounded with recompute preemption,
-        // bounded with swap preemption — the event engine's report equals
-        // the per-step executor's report exactly, every float included. A
-        // completion event addressing a retired session would panic the
-        // run, so this also proves no event ever targets one.
-        let page_tokens = 32;
-        let kv = if bounded {
-            let max_need = requests
-                .iter()
-                .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
-                .max()
-                .unwrap();
-            let kv = KvConfig::bounded(page_tokens, max_need + headroom);
-            if swap { kv.with_swap_preemption() } else { kv }
-        } else {
-            KvConfig::unbounded()
-        };
-        let exec = ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() };
-
-        let mut ex = Executor::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::with_kv(SchedulerConfig::default(), kv),
-            exec,
-            placement,
-        );
-        for r in &requests {
-            ex.submit(*r);
-        }
-        let oracle = ex.run();
-
-        let mut ev = EventEngine::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::with_kv(SchedulerConfig::default(), kv),
-            exec,
-            placement,
-        );
-        for r in &requests {
-            ev.submit(*r);
-        }
-        let event = ev.run();
-
-        prop_assert_eq!(&oracle, &event, "event engine diverged from the oracle");
-        // Exactly one completion event per dispatched micro-batch, all
-        // consumed, none left behind.
-        prop_assert_eq!(ev.queue().pop_count(), event.micro_batches);
-        prop_assert!(ev.queue().is_empty());
-        prop_assert_eq!(ev.queue().arrival_time_regressions(), 0);
     }
 
     #[test]
