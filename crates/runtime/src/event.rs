@@ -16,11 +16,9 @@
 //!   completion, so memory stays O(live sessions) however long the stream
 //!   runs.
 //!
-//! The loop's original per-step form — a linear `(end, index)` scan of the
+//! The loop's original per-step form — a linear `(end, seq)` scan of the
 //! in-flight batches instead of the heap — is kept as a test-only oracle
 //! (`src/oracle.rs`), and a property test holds the two bit-identical.
-//! `Vec::remove` preserves dispatch order, so the scan's tie-break
-//! `(end, index)` and the heap's `(end, seq)` select the same batch.
 //!
 //! Migration retries and swap-in barriers deliberately ride *inside*
 //! completion events rather than as separate heap entries: KV pages are

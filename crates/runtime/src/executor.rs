@@ -60,6 +60,10 @@ use mugi_numerics::cast::{u64_from_usize, usize_from_u64};
 use mugi_workloads::models::ModelId;
 use mugi_workloads::ops::{BatchSlice, Phase};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+
+/// A node's dispatch-order key: `(clock, Reverse(free KV pages), index)`.
+type NodeRank = (u64, Reverse<usize>, usize);
 
 /// Executor configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -119,10 +123,8 @@ pub(crate) struct InFlight {
     /// Cycle at which the batch finishes and its effects apply.
     pub(crate) end: u64,
     /// Monotone dispatch sequence number, naming the batch's completion
-    /// event. Completions tie-break on it: the heap's `(end, seq)` order and
-    /// the per-step oracle's `(end, Vec index)` order pick the same batch,
-    /// because `Vec::remove` preserves insertion order and insertion order
-    /// *is* seq order.
+    /// event. Completions tie-break on it, in the heap's `(end, seq)` order
+    /// and the per-step oracle's scan alike.
     pub(crate) seq: u64,
 }
 
@@ -237,7 +239,16 @@ pub struct Executor {
     placement: Placement,
     pub(crate) cost: CostModel,
     pub(crate) pool: NodePool,
-    pub(crate) in_flight: Vec<InFlight>,
+    /// The batch each node executes, if any: a node runs at most one at a
+    /// time, so the slot is also the node's occupancy. A sharded batch
+    /// occupies every node and sits in node 0's slot. Sized to the pool by
+    /// the first [`Executor::dispatch`] (no slot means no batch), filled by
+    /// it, emptied by [`Executor::finish`].
+    pub(crate) flights: Vec<Option<InFlight>>,
+    /// `(seq, slot)` of every in-flight batch in ascending `seq` (dispatch
+    /// appends, so it stays sorted): resolves a completion event, which
+    /// names its batch by `seq`, to the slot holding it.
+    by_seq: Vec<(u64, usize)>,
     /// One completion event per in-flight batch, plus the staged arrival
     /// when an [`EventEngine`](crate::event::EventEngine) streams requests.
     pub(crate) queue: EventQueue,
@@ -288,9 +299,13 @@ pub struct Executor {
     slice_scratch: Vec<BatchSlice>,
     /// Reusable per-item energy-share buffer for the same hot path.
     share_scratch: Vec<f64>,
-    /// Reusable idle-node buffer for the dispatch loop — re-derived every
-    /// decision round, so the round allocates nothing.
-    pub(crate) idle_scratch: Vec<usize>,
+    /// Reusable buffer of the idle nodes a round may try, with their
+    /// ranking keys — re-derived every decision round, so the round
+    /// allocates nothing.
+    ranked: Vec<NodeRank>,
+    /// Formation attempts the engine loop made, one per idle node tried
+    /// ([`Executor::nodes_tried`]).
+    nodes_tried: u64,
     /// Executor-local move-to-front memo over the accelerator's estimates:
     /// steady-state dispatches skip the shared cache's hash and mutex.
     perf_front: PerfFront,
@@ -377,8 +392,9 @@ impl Executor {
             config,
             placement,
             cost,
+            flights: Vec::new(),
+            by_seq: Vec::new(),
             pool,
-            in_flight: Vec::new(),
             queue: EventQueue::new(),
             clock_cycles: 0,
             steps: 0,
@@ -398,7 +414,8 @@ impl Executor {
             transfer_stall_cycles: 0,
             slice_scratch: Vec::new(),
             share_scratch: Vec::new(),
-            idle_scratch: Vec::new(),
+            ranked: Vec::new(),
+            nodes_tried: 0,
             perf_front: PerfFront::default(),
         }
     }
@@ -537,14 +554,34 @@ impl Executor {
         self.role_rerolls
     }
 
+    /// Idle nodes the engine loop tried to form a batch on so far: one
+    /// formation attempt each, successful or not.
+    pub fn nodes_tried(&self) -> u64 {
+        self.nodes_tried
+    }
+
     /// Whether node `i` currently executes an in-flight batch.
     pub(crate) fn occupied(&self, i: usize) -> bool {
         match self.placement.policy {
-            PlacementPolicy::Sharded => !self.in_flight.is_empty(),
+            PlacementPolicy::Sharded => !self.by_seq.is_empty(),
             PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => {
-                self.in_flight.iter().any(|f| f.node == i)
+                self.flights.get(i).is_some_and(Option::is_some)
             }
         }
+    }
+
+    /// The [`Executor::flights`] slot of a batch executing on node `i`.
+    fn slot_of(&self, i: usize) -> usize {
+        match self.placement.policy {
+            PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => i,
+            PlacementPolicy::Sharded => 0,
+        }
+    }
+
+    /// Node `i`'s place in the dispatch order: earliest clock first, then
+    /// most free KV pages, then lowest index.
+    fn rank(&self, i: usize) -> NodeRank {
+        (self.pool.free_at(i), Reverse(self.kv_free_pages(i).ranking()), i)
     }
 
     /// Accounting slot of session `id`.
@@ -552,13 +589,23 @@ impl Executor {
         usize_from_u64(id.0).checked_sub(self.acct_base).expect("accounting slot was retired")
     }
 
-    /// Applies the completion effects of `in_flight[idx]`. Under
-    /// disaggregated placement this is also where KV handoffs happen:
-    /// freshly completed prefills queue for migration, and every pending
-    /// migration is retried (a completion is exactly what frees decode-pool
-    /// pages or produces new movable KV).
-    pub(crate) fn finish(&mut self, idx: usize) {
-        let pending = self.in_flight.remove(idx);
+    /// Applies the completion effects of the in-flight batch dispatched as
+    /// `seq`. Under disaggregated placement this is also where KV handoffs
+    /// happen: freshly completed prefills queue for migration, and every
+    /// pending migration is retried (a completion is exactly what frees
+    /// decode-pool pages or produces new movable KV).
+    ///
+    /// # Panics
+    /// Panics if no batch dispatched as `seq` is in flight — every
+    /// completion is consumed exactly once.
+    pub(crate) fn finish(&mut self, seq: u64) {
+        let at = self
+            .by_seq
+            .binary_search_by_key(&seq, |&(s, _)| s)
+            .expect("completion targets a batch no longer in flight");
+        let (_, slot) = self.by_seq.remove(at);
+        let pending = self.flights[slot].take().expect("an indexed batch occupies its slot");
+        debug_assert_eq!((pending.seq, self.slot_of(pending.node)), (seq, slot));
         self.scheduler.complete(&pending.batch, pending.end);
         self.clock_cycles = self.clock_cycles.max(pending.end);
         if self.config.control.calibrate_slo {
@@ -821,45 +868,80 @@ impl Executor {
     /// `arrivals`; after each completion, finished sessions retire into
     /// `fold` when one is given.
     ///
-    /// With per-node KV pools (bounded data-parallel placement) dispatch
-    /// considers every idle node, earliest clock first and — on equal
-    /// clocks — most free pages first: a session pinned to a node's pool
-    /// can only run there, so a node needs both clock headroom *and* free
-    /// pages to win a batch. With an unbounded pool (or a single pool) only
-    /// the earliest idle node is consulted, which is exactly the pre-paging
-    /// behaviour.
+    /// Idle nodes are tried earliest clock first and — on equal clocks —
+    /// most free pages first. With per-node KV pools (bounded data-parallel
+    /// placement) or disaggregated roles, a session can only run on some
+    /// nodes, so every idle node may be tried; with an unbounded pool (or a
+    /// single pool) only the earliest idle node is consulted, which is
+    /// exactly the pre-paging behaviour.
+    ///
+    /// A round costs what it does, not what the mesh holds. Occupancy is a
+    /// per-node slot, the earliest idle node is a minimum rather than a
+    /// sort, and of the other idle nodes only those the scheduler could
+    /// serve ([`Scheduler::may_form`], or a due arrival for a prefill-capable
+    /// node) are ranked and tried. Skipping the rest changes nothing: a
+    /// formation there would find no session and have no effect, and the
+    /// events due at their clocks still land in `(time, seq)` order — at the
+    /// next tried node's clock, or at the last idle clock once the round
+    /// runs out of candidates — exactly where a full walk would pop them.
     pub(crate) fn advance(
         &mut self,
         arrivals: &mut impl Iterator<Item = Request>,
         mut fold: Option<&mut StatsFold>,
     ) -> bool {
-        let mut idle = std::mem::take(&mut self.idle_scratch);
+        let mut ranked = std::mem::take(&mut self.ranked);
         let advanced = 'outer: loop {
             // The queue holds one completion per in-flight batch.
             if self.queue.is_empty() && self.scheduler.all_finished() {
                 break false;
             }
-            idle.clear();
-            idle.extend((0..self.pool.len()).filter(|&i| !self.occupied(i)));
-            if idle.is_empty() {
+            let spread = self.multi_pool || self.disagg;
+            let staged = self.queue.staged_arrival_time();
+            ranked.clear();
+            let mut primary: Option<(u64, usize)> = None;
+            let mut last_clock = 0;
+            for node in (0..self.pool.len()).filter(|&i| !self.occupied(i)) {
+                let clock = self.pool.free_at(node);
+                last_clock = last_clock.max(clock);
+                // Nodes come in index order, so a later node with the same
+                // clock wins only with strictly more free pages.
+                let wins = match primary {
+                    None => true,
+                    Some((t, p)) => {
+                        clock < t
+                            || (clock == t
+                                && self.kv_free_pages(node).ranking()
+                                    > self.kv_free_pages(p).ranking())
+                    }
+                };
+                if wins {
+                    primary = Some((clock, node));
+                }
+                if !spread {
+                    continue;
+                }
+                let Some(phase) = self.phase_for(node) else { continue };
+                let arriving = phase.prefill() && staged.is_some_and(|t| t <= clock);
+                if arriving || self.scheduler.may_form(clock, self.pool_for(node), phase) {
+                    ranked.push(self.rank(node));
+                }
+            }
+            let Some((now, primary)) = primary else {
                 // Every node is busy: the next event must land first (an
                 // earlier staged arrival is passive, so taking it before the
                 // earliest completion changes nothing).
                 let event = self.queue.pop().expect("busy nodes imply queued completions");
                 self.apply(event, arrivals, fold.as_deref_mut());
                 continue;
+            };
+            if !spread {
+                // Only the earliest idle node is consulted (its rank's page
+                // count is never compared, so it is left out).
+                ranked.push((now, Reverse(0), primary));
+                last_clock = now;
             }
-            idle.sort_by_key(|&i| {
-                let free = self.kv_free_pages(i).ranking();
-                (self.pool.free_at(i), std::cmp::Reverse(free), i)
-            });
-            let primary = idle[0];
-            let now = self.pool.free_at(primary);
-            // Disaggregated nodes differ by phase even with a shared or
-            // unbounded pool, so every idle node must be tried there too.
-            let tries = if self.multi_pool || self.disagg { idle.len() } else { 1 };
-            for &node in &idle[..tries] {
-                let node_now = self.pool.free_at(node);
+            ranked.sort_unstable();
+            for &(node_now, _, node) in &ranked {
                 // Events at or before this node's clock land first so a
                 // batch formed at `node_now` sees their effects; a
                 // completion changes the idle set, so the round restarts.
@@ -871,13 +953,20 @@ impl Executor {
                 // A draining node has no phase: it forms no new batches
                 // until its role flip completes.
                 let Some(phase) = self.phase_for(node) else { continue };
+                self.nodes_tried += 1;
                 if let Some(batch) =
                     self.scheduler.next_micro_batch_phased(node_now, self.pool_for(node), phase)
                 {
-                    self.dispatch(node, batch, node_now);
-                    let flight = self.in_flight.last().expect("dispatch queued a batch");
-                    self.queue.push_completion(flight.end, flight.seq);
+                    let end = self.dispatch(node, batch, node_now);
+                    self.queue.push_completion(end, self.steps);
                     break 'outer true;
+                }
+            }
+            // The events due at the clocks of idle nodes no formation was
+            // tried on land before the round gives up.
+            while let Some(event) = self.queue.pop_due(last_clock) {
+                if self.apply(event, arrivals, fold.as_deref_mut()) {
+                    continue 'outer;
                 }
             }
             // Nothing runnable on any idle node's clock: wait for the next
@@ -903,7 +992,7 @@ impl Executor {
             // the scheduler once per node.
             self.pool.wait_all_until(next);
         };
-        self.idle_scratch = idle;
+        self.ranked = ranked;
         advanced
     }
 
@@ -928,12 +1017,7 @@ impl Executor {
                 false
             }
             EventKind::Completion { flight } => {
-                let idx = self
-                    .in_flight
-                    .iter()
-                    .position(|f| f.seq == flight)
-                    .expect("completion event targets a batch no longer in flight");
-                self.finish(idx);
+                self.finish(flight);
                 if let Some(fold) = fold {
                     self.retire_finished_with(|stats| fold.add(&stats));
                 }
@@ -942,9 +1026,10 @@ impl Executor {
         }
     }
 
-    /// Evaluates one micro-batch on the accelerator model, occupies its
-    /// node(s) and queues the completion.
-    pub(crate) fn dispatch(&mut self, node: usize, batch: MicroBatch, start: u64) {
+    /// Evaluates one micro-batch on the accelerator model and occupies its
+    /// node(s) until the returned end cycle; the batch's sequence number is
+    /// the new [`Executor::steps`].
+    pub(crate) fn dispatch(&mut self, node: usize, batch: MicroBatch, start: u64) -> u64 {
         let mut slices = std::mem::take(&mut self.slice_scratch);
         batch.slices_into(self.config.kv_bucket, &mut slices);
         let noc = self.placement.noc;
@@ -1041,7 +1126,14 @@ impl Executor {
             acct.micro_batches += 1;
         }
         self.share_scratch = shares;
-        self.in_flight.push(InFlight { batch, node, start, end, seq: self.steps });
+        let slot = self.slot_of(node);
+        if self.flights.is_empty() {
+            self.flights.resize_with(self.pool.len(), || None);
+        }
+        debug_assert!(self.flights[slot].is_none(), "a node runs one batch at a time");
+        self.flights[slot] = Some(InFlight { batch, node, start, end, seq: self.steps });
+        self.by_seq.push((self.steps, slot));
+        end
     }
 
     /// Runs until every submitted request has finished, then reports.

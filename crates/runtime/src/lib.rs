@@ -73,6 +73,7 @@ pub mod kv;
 #[cfg(test)]
 mod oracle;
 pub mod placement;
+mod ready;
 pub mod request;
 pub mod scheduler;
 pub mod stats;

@@ -1,36 +1,61 @@
 //! The per-step oracle: the engine loop's decision procedure in a naive,
 //! heap-free form, kept only to test the production loop against.
 //!
-//! [`step`] finds the earliest completion by a linear `(end, index)` scan
+//! [`step`] finds the earliest completion by a linear `(end, seq)` scan
 //! of the in-flight batches and never touches the executor's
-//! [`EventQueue`](crate::event::EventQueue). It shares
+//! [`EventQueue`](crate::event::EventQueue). It decides occupancy by
+//! scanning the in-flight batches too, and sorts every idle node and tries
+//! each in turn, where the production loop keeps per-node occupancy slots
+//! and tries only the nodes the scheduler could serve. It shares
 //! `dispatch`, `finish` and the migration and control code with the
 //! production loop, so the property below compares two independent
 //! decision procedures over the same effects — across every placement
 //! policy, every KV regime and with the adaptive controller off and on.
 
-use crate::executor::Executor;
+use crate::executor::{Executor, InFlight};
+use crate::placement::PlacementPolicy;
 use crate::stats::RuntimeReport;
 
-/// Index (into `in_flight`) of the earliest-finishing pending batch.
-fn earliest_completion(ex: &Executor) -> Option<usize> {
-    (0..ex.in_flight.len()).min_by_key(|&i| (ex.in_flight[i].end, i))
+/// The in-flight batches, in no particular order.
+fn in_flight(ex: &Executor) -> impl Iterator<Item = &InFlight> {
+    ex.flights.iter().flatten()
+}
+
+/// Dispatch sequence number of the earliest-finishing pending batch.
+fn earliest_completion(ex: &Executor) -> Option<u64> {
+    in_flight(ex).min_by_key(|f| (f.end, f.seq)).map(|f| f.seq)
+}
+
+/// End cycle of the batch dispatched as `seq`.
+fn end_of(ex: &Executor, seq: u64) -> u64 {
+    in_flight(ex).find(|f| f.seq == seq).expect("batch in flight").end
+}
+
+/// Whether node `i` executes an in-flight batch, by a scan of the batches'
+/// executing nodes (independent of the executor's occupancy slots).
+fn occupied(ex: &Executor, i: usize) -> bool {
+    match ex.placement().policy {
+        PlacementPolicy::Sharded => in_flight(ex).next().is_some(),
+        PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => {
+            in_flight(ex).any(|f| f.node == i)
+        }
+    }
 }
 
 /// Dispatches one micro-batch; `false` once every submitted request has
 /// finished and every pending completion has been applied.
 fn step(ex: &mut Executor) -> bool {
-    let mut idle = std::mem::take(&mut ex.idle_scratch);
-    let stepped = 'outer: loop {
-        if ex.in_flight.is_empty() && ex.scheduler.all_finished() {
-            break false;
+    let mut idle = Vec::new();
+    'outer: loop {
+        if in_flight(ex).next().is_none() && ex.scheduler.all_finished() {
+            return false;
         }
         idle.clear();
-        idle.extend((0..ex.pool.len()).filter(|&i| !ex.occupied(i)));
+        idle.extend((0..ex.pool.len()).filter(|&i| !occupied(ex, i)));
         if idle.is_empty() {
             // Every node is busy: retire the earliest completion first.
-            let idx = earliest_completion(ex).expect("busy nodes imply in-flight batches");
-            ex.finish(idx);
+            let seq = earliest_completion(ex).expect("busy nodes imply in-flight batches");
+            ex.finish(seq);
             continue;
         }
         idle.sort_by_key(|&i| {
@@ -41,9 +66,9 @@ fn step(ex: &mut Executor) -> bool {
         let now = ex.pool.free_at(primary);
         // Completions at or before this node's clock must apply first so
         // the batch formed at `now` sees their effects.
-        if let Some(idx) = earliest_completion(ex) {
-            if ex.in_flight[idx].end <= now {
-                ex.finish(idx);
+        if let Some(seq) = earliest_completion(ex) {
+            if end_of(ex, seq) <= now {
+                ex.finish(seq);
                 continue;
             }
         }
@@ -52,9 +77,9 @@ fn step(ex: &mut Executor) -> bool {
             let node_now = ex.pool.free_at(node);
             // Later idle nodes have later clocks; completions in between
             // must land before a batch forms at that clock.
-            if let Some(idx) = earliest_completion(ex) {
-                if ex.in_flight[idx].end <= node_now {
-                    ex.finish(idx);
+            if let Some(seq) = earliest_completion(ex) {
+                if end_of(ex, seq) <= node_now {
+                    ex.finish(seq);
                     continue 'outer;
                 }
             }
@@ -63,14 +88,14 @@ fn step(ex: &mut Executor) -> bool {
                 ex.scheduler.next_micro_batch_phased(node_now, ex.pool_for(node), phase)
             {
                 ex.dispatch(node, batch, node_now);
-                break 'outer true;
+                return true;
             }
         }
         // Nothing runnable on any idle node's clock: wait for the next
         // completion or jump to the next arrival.
-        if let Some(idx) = earliest_completion(ex) {
-            let end = ex.in_flight[idx].end;
-            ex.finish(idx);
+        if let Some(seq) = earliest_completion(ex) {
+            let end = end_of(ex, seq);
+            ex.finish(seq);
             ex.pool.wait_until(primary, end);
             continue;
         }
@@ -79,9 +104,7 @@ fn step(ex: &mut Executor) -> bool {
             .next_arrival_after(now)
             .expect("unfinished sessions but no runnable work and no future arrival");
         ex.pool.wait_all_until(next);
-    };
-    ex.idle_scratch = idle;
-    stepped
+    }
 }
 
 /// Runs every submitted request to completion under the oracle, then
@@ -118,13 +141,20 @@ mod tests {
         }
     }
 
-    // One placement drawn from every policy family, over a 2×2 mesh.
+    // One placement drawn from every policy family, over a 2×2 mesh or a
+    // 4×4 one (where more than four idle nodes compete in one ranking).
     prop_compose! {
         fn placement_strategy()(
             kind in 0usize..4,
-            prefill_nodes in 1usize..4,
+            wide in any::<bool>(),
+            prefill_share in 0usize..1000,
         ) -> Placement {
-            let noc = NocConfig { rows: 2, cols: 2 };
+            let noc = if wide {
+                NocConfig { rows: 4, cols: 4 }
+            } else {
+                NocConfig { rows: 2, cols: 2 }
+            };
+            let prefill_nodes = 1 + prefill_share % (noc.rows * noc.cols - 1);
             match kind {
                 0 => Placement::single_node(),
                 1 => Placement::data_parallel(noc),

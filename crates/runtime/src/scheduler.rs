@@ -21,11 +21,13 @@
 //! calls (a modulo round-robin over that shifting set could skip a model
 //! indefinitely).
 //!
-//! Internally the scheduler keeps per-model queues of *released* unfinished
-//! sessions plus a retired counter, so each call touches only in-flight
-//! work — not every session ever submitted. Sessions scheduled into a
-//! micro-batch are marked in flight until the batch completes, which lets a
-//! multi-node executor overlap several micro-batches safely.
+//! Internally the scheduler files *released* unfinished sessions in a ready
+//! index (`src/ready.rs`) — per model and phase, in policy order, split by
+//! KV home pool — plus a retired counter, so a formation visits only the
+//! sessions it could serve and stops when the batch is full, not every
+//! session ever submitted or even every one queued. Sessions scheduled into
+//! a micro-batch are marked in flight until the batch completes, which lets
+//! a multi-node executor overlap several micro-batches safely.
 //!
 //! # Paged KV admission and preemption
 //!
@@ -87,6 +89,7 @@ use crate::kv::{
     pages_for, AdmissionError, KvConfig, KvFreePages, KvPool, PreemptionMode, SloConfig, KV_BITS,
 };
 use crate::placement::PoolRole;
+use crate::ready::{Holders, Key, Lane, Slot};
 use crate::request::{Request, RequestId, Session, SessionArena, SessionState};
 use mugi_numerics::cast::{u64_from_usize, usize_from_u64};
 use mugi_workloads::models::ModelId;
@@ -179,12 +182,12 @@ pub enum PhaseFilter {
 
 impl PhaseFilter {
     /// Whether decode slots may be scheduled.
-    fn decode(self) -> bool {
+    pub(crate) fn decode(self) -> bool {
         !matches!(self, PhaseFilter::PrefillOnly)
     }
 
     /// Whether prefill chunks may be scheduled.
-    fn prefill(self) -> bool {
+    pub(crate) fn prefill(self) -> bool {
         !matches!(self, PhaseFilter::DecodeOnly)
     }
 }
@@ -299,16 +302,16 @@ impl MicroBatch {
     }
 }
 
-/// Per-model queues of *released* (arrived) unfinished sessions. Keeping
-/// membership incremental means each scheduling decision touches only the
-/// model's in-flight sessions, not every session ever submitted.
+/// Per-model queues of *released* (arrived) unfinished sessions, filed in
+/// the ready index (see [`crate::ready`]): each formation visits only the
+/// sessions it could serve, not the model's whole population.
 #[derive(Clone, Debug)]
 struct ModelQueue {
     model: ModelId,
-    /// Sessions still prefilling, sorted by id (submission order = FCFS).
-    waiting: Vec<RequestId>,
-    /// Sessions decoding, sorted by id (oldest generation first).
-    decoding: Vec<RequestId>,
+    /// Sessions still prefilling, in policy order per KV home.
+    waiting: Lane,
+    /// Sessions decoding, in id order (oldest generation first) per KV home.
+    decoding: Lane,
     /// Serve-counter value when this model last headed a micro-batch
     /// (0 = never served). The scheduler picks the least-recently-served
     /// runnable model, which is starvation-free even as the runnable set
@@ -331,25 +334,16 @@ impl ModelQueue {
     fn new(model: ModelId) -> Self {
         ModelQueue {
             model,
-            waiting: Vec::new(),
-            decoding: Vec::new(),
+            waiting: Lane::default(),
+            decoding: Lane::default(),
             last_served: 0,
             last_decode: Vec::new(),
         }
     }
-}
 
-/// Inserts `id` into a vec kept sorted ascending, ignoring duplicates.
-fn sorted_insert(ids: &mut Vec<RequestId>, id: RequestId) {
-    if let Err(pos) = ids.binary_search(&id) {
-        ids.insert(pos, id);
-    }
-}
-
-/// Removes `id` from a sorted vec if present.
-fn sorted_remove(ids: &mut Vec<RequestId>, id: RequestId) {
-    if let Ok(pos) = ids.binary_search(&id) {
-        ids.remove(pos);
+    /// Every session filed in the queue, prefilling then decoding.
+    fn members(&self) -> impl Iterator<Item = RequestId> + '_ {
+        self.waiting.all().chain(self.decoding.all()).map(|&(_, id)| id)
     }
 }
 
@@ -440,13 +434,24 @@ pub struct Scheduler {
     /// [`Scheduler::next_micro_batch_phased`], so steady-state formation
     /// allocates nothing.
     scratch_candidates: Vec<(u64, RequestId, usize)>,
-    /// Reusable eligible-session buffer for [`Scheduler::try_form`] (filled
-    /// for the decode pass, then refilled for the prefill pass).
-    scratch_ids: Vec<RequestId>,
-    /// Reusable eviction-candidate buffer for
-    /// [`Scheduler::reserve_pages`]'s reclaim planning, so formations under
-    /// KV pressure allocate nothing either.
-    scratch_evict: Vec<RequestId>,
+    /// Page-holding sessions by home pool: the preemption victim search
+    /// walks only the pool it reclaims from.
+    holders: Holders,
+    /// Sessions whose filing a running formation pass changed (victims,
+    /// fresh admissions), with the slot they were filed under when the pass
+    /// started. A pass walks the index as it stood at its start, exactly as
+    /// a snapshot of the eligible sessions would; these are re-filed when
+    /// the pass ends.
+    touched: Vec<(RequestId, Slot)>,
+    /// Upper bound on every released session's `ready_cycle`, so
+    /// [`Scheduler::next_arrival_after`] answers without a scan whenever no
+    /// released session waits on the future.
+    ready_watermark: u64,
+    /// Formation attempts ([`Scheduler::formation_calls`]).
+    formations: u64,
+    /// Index entries those attempts visited
+    /// ([`Scheduler::sessions_examined`]).
+    examined: u64,
     /// Reusable committed-victim buffer for [`Scheduler::reserve_pages`].
     scratch_victims: Vec<RequestId>,
     /// Item vectors of retired micro-batches handed back via
@@ -513,8 +518,11 @@ impl Scheduler {
             swap_outs: 0,
             swapped_pages: 0,
             scratch_candidates: Vec::new(),
-            scratch_ids: Vec::new(),
-            scratch_evict: Vec::new(),
+            holders: Holders::default(),
+            touched: Vec::new(),
+            ready_watermark: 0,
+            formations: 0,
+            examined: 0,
             scratch_victims: Vec::new(),
             spare_items: Vec::new(),
         }
@@ -863,14 +871,14 @@ impl Scheduler {
 
     /// Projected decode load of pool `pool`: the remaining output tokens of
     /// its resident decoding sessions — exactly the KV growth still to be
-    /// written there. A lazy O(decoding residents) scan, taken only at
+    /// written there. A lazy O(pool residents) scan, taken only at
     /// migration-target selection under the control plane's load-aware
     /// placement.
     pub fn pool_decode_load(&self, pool: usize) -> u64 {
         self.queues
             .iter()
-            .flat_map(|q| q.decoding.iter())
-            .map(|&id| &self.sessions[self.sidx(id)])
+            .flat_map(|q| q.decoding.merged(pool, None))
+            .map(|(_, id)| &self.sessions[self.sidx(id)])
             .filter(|s| s.page_table.home() == Some(pool))
             .map(|s| u64_from_usize(s.request.output_tokens - s.generated_tokens))
             .sum()
@@ -883,20 +891,21 @@ impl Scheduler {
     /// empties; preemption counters and the prefill ledger are maintained
     /// exactly as for capacity evictions.
     pub fn preempt_pool_residents(&mut self, pool: usize) -> u64 {
+        // The prefilling residents homed on `pool`; the order is immaterial,
+        // every effect below being a sum or a set.
         let victims: Vec<RequestId> = self
             .queues
             .iter()
-            .flat_map(|q| q.waiting.iter())
-            .copied()
+            .flat_map(|q| q.waiting.merged(pool, None))
+            .map(|(_, id)| id)
             .filter(|&v| {
                 let s = &self.sessions[self.sidx(v)];
-                s.page_table.home() == Some(pool)
-                    && s.state != SessionState::Decoding
-                    && !s.in_flight
+                s.page_table.home() == Some(pool) && !s.in_flight
             })
             .collect();
         let mut released_total = 0u64;
         for victim in victims {
+            let slot = self.filed_slot(victim);
             let vi = self.sidx(victim);
             let s = &mut self.sessions[vi];
             let lost_tokens = u64_from_usize(s.kv_len());
@@ -912,6 +921,7 @@ impl Scheduler {
             self.preempted += 1;
             self.reprefill_tokens += lost_tokens;
             released_total += u64_from_usize(released);
+            self.refile(victim, slot);
         }
         self.evicted_pages += released_total;
         released_total
@@ -1015,15 +1025,19 @@ impl Scheduler {
         // any entries at or before `now`.
         let pending =
             self.future.iter().map(|&(arrival, _)| arrival).find(|&arrival| arrival > now);
-        // Released sessions become ready at their `ready_cycle`; the queues
-        // hold only unfinished sessions, so this scan is in-flight-sized.
-        let queued = self
-            .queues
-            .iter()
-            .flat_map(|q| q.waiting.iter().chain(q.decoding.iter()))
-            .map(|&id| self.sessions[self.sidx(id)].ready_cycle)
-            .filter(|&ready| ready > now)
-            .min();
+        // Released sessions become ready at their `ready_cycle`. No released
+        // session's lies past the watermark, so the scan over the queues
+        // runs only when one might lie past `now`.
+        let queued = if self.ready_watermark <= now {
+            None
+        } else {
+            self.queues
+                .iter()
+                .flat_map(ModelQueue::members)
+                .map(|id| self.sessions[self.sidx(id)].ready_cycle)
+                .filter(|&ready| ready > now)
+                .min()
+        };
         match (pending, queued) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -1039,30 +1053,146 @@ impl Scheduler {
             }
             self.future.pop_front();
             let model = self.sessions[self.sidx(id)].request.model;
-            let queue = match self.queues.iter_mut().find(|q| q.model == model) {
-                Some(queue) => queue,
+            let qi = match self.queues.iter().position(|q| q.model == model) {
+                Some(qi) => qi,
                 None => {
                     self.queues.push(ModelQueue::new(model));
-                    self.queues.last_mut().expect("queue just pushed")
+                    self.queues.len() - 1
                 }
             };
-            sorted_insert(&mut queue.waiting, id);
+            if let Some(slot) = self.slot_of(qi, &self.sessions[self.sidx(id)]) {
+                self.file(slot);
+            }
+            self.ready_watermark = self.ready_watermark.max(arrival);
         }
     }
 
-    /// Whether `id` may be scheduled at `now`.
-    fn schedulable(&self, id: RequestId, now: u64) -> bool {
-        let s = &self.sessions[self.sidx(id)];
-        !s.in_flight && s.is_runnable(now)
+    /// Where session `s` of queue `qi` belongs in the ready index given its
+    /// current state: `None` once it has finished.
+    fn slot_of(&self, qi: usize, s: &Session) -> Option<Slot> {
+        if s.is_finished() {
+            return None;
+        }
+        let decoding = s.state == SessionState::Decoding;
+        let rank = if !decoding && self.config.policy == SchedulingPolicy::ShortestPrefillFirst {
+            s.remaining_prefill()
+        } else {
+            0
+        };
+        let home = s.page_table.home();
+        let bucket = if self.pools.len() > 1 { home } else { None };
+        Some(Slot { qi, decoding, home, bucket, key: (rank, s.id) })
     }
 
-    /// Whether `id` may be scheduled at `now` out of KV pool `pool`: it must
-    /// be schedulable and — under a bounded configuration — either homeless
-    /// (fresh admission) or already homed to `pool`.
-    fn eligible_on(&self, id: RequestId, now: u64, pool: usize) -> bool {
-        self.schedulable(id, now)
-            && (self.pools.is_empty()
-                || self.sessions[self.sidx(id)].page_table.admissible_on(pool))
+    /// The slot a released, unfinished session `id` is filed under.
+    ///
+    /// # Panics
+    /// Panics if the session is finished or its model has no queue.
+    fn filed_slot(&self, id: RequestId) -> Slot {
+        let s = &self.sessions[self.sidx(id)];
+        let qi = self
+            .queues
+            .iter()
+            .position(|q| q.model == s.request.model)
+            .expect("a released session's model has a queue");
+        self.slot_of(qi, s).expect("only unfinished sessions are filed")
+    }
+
+    fn lane_mut(&mut self, slot: Slot) -> &mut Lane {
+        let q = &mut self.queues[slot.qi];
+        if slot.decoding {
+            &mut q.decoding
+        } else {
+            &mut q.waiting
+        }
+    }
+
+    /// Files a session under `slot`.
+    fn file(&mut self, slot: Slot) {
+        self.lane_mut(slot).insert(slot.bucket, slot.key);
+        if let Some(pool) = slot.home {
+            self.holders.insert(pool, slot.key.1);
+        }
+    }
+
+    /// Moves session `id` from `old` to the slot its current state calls
+    /// for (out of the index once it has finished).
+    fn refile(&mut self, id: RequestId, old: Slot) {
+        let new = self.slot_of(old.qi, &self.sessions[self.sidx(id)]);
+        if new == Some(old) {
+            return;
+        }
+        let place = |s: Slot| (s.decoding, s.bucket, s.key);
+        if new.map(place) != Some(place(old)) {
+            self.lane_mut(old).remove(old.bucket, old.key);
+            if let Some(new) = new {
+                self.lane_mut(new).insert(new.bucket, new.key);
+            }
+        }
+        let new_home = new.and_then(|n| n.home);
+        if new_home != old.home {
+            if let Some(pool) = old.home {
+                self.holders.remove(pool, id);
+            }
+            if let Some(pool) = new_home {
+                self.holders.insert(pool, id);
+            }
+        }
+    }
+
+    /// Records session `id`'s slot before a formation pass changes it (the
+    /// first record of a pass wins: it is where the index still files it).
+    fn touch(&mut self, id: RequestId) {
+        if !self.touched.iter().any(|&(t, _)| t == id) {
+            let slot = self.filed_slot(id);
+            self.touched.push((id, slot));
+        }
+    }
+
+    /// Re-files every session the finished pass touched.
+    fn settle(&mut self) {
+        if self.touched.is_empty() {
+            return;
+        }
+        let mut touched = std::mem::take(&mut self.touched);
+        for &(id, slot) in &touched {
+            self.refile(id, slot);
+        }
+        touched.clear();
+        self.touched = touched;
+    }
+
+    /// Whether a formation at `now` on pool `pool` under `phase` could find
+    /// anything to schedule: a due arrival to release, or a filed session
+    /// of a served phase that the pool may run. A superset of success — the
+    /// formation itself still checks ready cycles, in-flight marks and
+    /// pages — answered without walking any queue, so the executor tries
+    /// formation only on nodes where this holds.
+    pub(crate) fn may_form(&self, now: u64, pool: usize, phase: PhaseFilter) -> bool {
+        (phase.prefill() && self.future.front().is_some_and(|&(arrival, _)| arrival <= now))
+            || self.queues.iter().any(|q| {
+                (phase.decode() && q.decoding.serves(pool))
+                    || (phase.prefill() && q.waiting.serves(pool))
+            })
+    }
+
+    /// Formation attempts so far: one per model tried by
+    /// [`Scheduler::next_micro_batch_phased`], successful or not.
+    pub fn formation_calls(&self) -> u64 {
+        self.formations
+    }
+
+    /// Ready-index entries visited by those attempts so far: each decode or
+    /// prefill pass walks the sessions it may serve until the batch fills.
+    pub fn sessions_examined(&self) -> u64 {
+        self.examined
+    }
+
+    /// Whether session `id` may be scheduled at `now`: not in flight and
+    /// runnable.
+    fn ready_at(&self, id: RequestId, now: u64) -> bool {
+        let s = &self.sessions[self.sidx(id)];
+        !s.in_flight && s.is_runnable(now)
     }
 
     /// Assembles the next micro-batch at simulated cycle `now` for the node
@@ -1091,8 +1221,7 @@ impl Scheduler {
         self.release_arrivals(now);
         // Single-model fast path: with one queue there is nothing to rank,
         // and `try_form` re-checks eligibility itself (an attempt with no
-        // eligible session forms nothing and changes nothing observable),
-        // so the candidate pass below would only duplicate its scans.
+        // eligible session forms nothing and changes nothing observable).
         if self.queues.len() == 1 {
             return self.form_from(now, pool, 0, phase);
         }
@@ -1106,21 +1235,22 @@ impl Scheduler {
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         candidates.clear();
         candidates.extend(self.queues.iter().enumerate().filter_map(|(qi, q)| {
-            // Each queue is sorted ascending, so the oldest eligible session
-            // is the *first* eligible one per queue — `find` short-circuits
-            // there, instead of probing eligibility across the whole
-            // decode/waiting population like the old chained `min` did. In
-            // steady state (front of each queue runnable) this is O(1) per
-            // queue.
+            // Decoding buckets are in id order, so the first ready session
+            // is the oldest; so are prefilling buckets under FCFS.
+            // Shortest-prefill-first files those by remaining prefill, so
+            // there the oldest takes a walk over the model's queue.
+            let ready = |&(_, id): &Key| self.ready_at(id, now);
             let dec = if phase.decode() {
-                q.decoding.iter().copied().find(|&id| self.eligible_on(id, now, pool))
+                q.decoding.merged(pool, None).find(ready).map(|(_, id)| id)
             } else {
                 None
             };
-            let wait = if phase.prefill() {
-                q.waiting.iter().copied().find(|&id| self.eligible_on(id, now, pool))
-            } else {
+            let wait = if !phase.prefill() {
                 None
+            } else if self.config.policy == SchedulingPolicy::Fcfs {
+                q.waiting.merged(pool, None).find(ready).map(|(_, id)| id)
+            } else {
+                q.waiting.merged(pool, None).filter(ready).map(|(_, id)| id).min()
             };
             let oldest = match (dec, wait) {
                 (Some(a), Some(b)) => Some(a.min(b)),
@@ -1141,7 +1271,8 @@ impl Scheduler {
     }
 
     /// One formation attempt against queue `qi`: on success, bumps the
-    /// serve rotation and marks every scheduled session in flight.
+    /// serve rotation (`try_form` marked every scheduled session in flight
+    /// as it granted it).
     fn form_from(
         &mut self,
         now: u64,
@@ -1149,24 +1280,33 @@ impl Scheduler {
         qi: usize,
         phase: PhaseFilter,
     ) -> Option<MicroBatch> {
+        self.formations += 1;
         let (items, evicted_pages, swapped_out) = self.try_form(now, pool, qi, phase);
         if items.is_empty() {
             return None;
         }
         self.serve_counter += 1;
         self.queues[qi].last_served = self.serve_counter;
-        for item in &items {
-            let i = self.sidx(item.id);
-            self.sessions[i].in_flight = true;
-        }
         self.in_flight_count += items.len();
         Some(MicroBatch { model: self.queues[qi].model, items, evicted_pages, swapped_out })
+    }
+
+    /// Marks session `id` in flight: it joined the batch being formed.
+    fn grant(&mut self, id: RequestId) {
+        let i = self.sidx(id);
+        self.sessions[i].in_flight = true;
     }
 
     /// Tries to form a micro-batch for the model of queue `qi` out of KV
     /// pool `pool`, restricted to `phase`, returning the items, the pages
     /// evicted to make room and the sessions swapped out over the NoC
     /// (empty items = everything eligible is blocked on pages).
+    ///
+    /// Each pass walks the ready index as it stood when the pass began:
+    /// sessions the pass evicts, swaps or admits are re-filed only when it
+    /// ends. The walk therefore visits exactly the sessions that were
+    /// eligible at its start, in the order a sorted snapshot of them would
+    /// have, and stops as soon as the batch is full.
     fn try_form(
         &mut self,
         now: u64,
@@ -1174,13 +1314,11 @@ impl Scheduler {
         qi: usize,
         phase: PhaseFilter,
     ) -> (Vec<BatchItem>, usize, Vec<SwapOut>) {
-        let SchedulerConfig { max_batch, token_budget, prefill_chunk, policy, decode_order } =
+        let SchedulerConfig { max_batch, token_budget, prefill_chunk, decode_order, .. } =
             self.config;
         let KvConfig { page_tokens, .. } = self.kv;
         let paged = !self.pools.is_empty();
-        // Batch membership ("in_batch") is a linear scan over `items` — at
-        // most `max_batch` entries — instead of a freshly allocated hash
-        // set; the items vector itself comes from the recycle free list.
+        // The items vector comes from the recycle free list.
         let mut items: Vec<BatchItem> = self.spare_items.pop().unwrap_or_default();
         items.clear();
         let mut tokens = 0usize;
@@ -1193,60 +1331,49 @@ impl Scheduler {
         // short the session preempts strictly-younger page holders, and a
         // session that cannot reclaim enough simply skips this step (the
         // oldest session can always reclaim, so no one starves).
-        if phase.decode() {
-            let mut decoding = std::mem::take(&mut self.scratch_ids);
-            decoding.clear();
-            decoding.extend(
-                self.queues[qi]
-                    .decoding
-                    .iter()
-                    .copied()
-                    .filter(|&id| self.eligible_on(id, now, pool)),
-            );
-            if decode_order == DecodeOrder::RoundRobin && !decoding.is_empty() {
-                if let Some(last) = self.queues[qi].last_decode.get(pool).copied().flatten() {
-                    // Start with the oldest session strictly after the last
-                    // one served; `split == len` wraps to the front, which
-                    // makes the rotation identical to FCFS whenever every
-                    // decoding session was served last time.
-                    let split = decoding.partition_point(|&id| id <= last);
-                    if split < decoding.len() {
-                        decoding.rotate_left(split);
-                    }
+        if phase.decode() && self.queues[qi].decoding.serves(pool) {
+            let lane = std::mem::take(&mut self.queues[qi].decoding);
+            // Round-robin starts with the oldest session strictly after the
+            // last one served and wraps to the front, which makes the
+            // rotation identical to FCFS whenever every decoding session was
+            // served last time.
+            let after = match decode_order {
+                DecodeOrder::RoundRobin => {
+                    self.queues[qi].last_decode.get(pool).copied().flatten().map(|last| (0, last))
                 }
-            }
+                DecodeOrder::Fcfs => None,
+            };
+            let wrapped = lane.merged(pool, None).take_while(|&k| after.is_some_and(|a| k <= a));
             let mut last_granted = None;
-            for k in 0..decoding.len() {
-                let id = decoding[k];
+            for (_, id) in lane.merged(pool, after).chain(wrapped) {
                 if items.len() >= max_batch || tokens >= token_budget {
                     break;
                 }
+                self.examined += 1;
                 let s = &self.sessions[self.sidx(id)];
+                if s.in_flight || !s.is_runnable(now) {
+                    continue;
+                }
                 if s.state != SessionState::Decoding {
-                    continue; // recompute-evicted earlier in this very formation
+                    continue; // recompute-evicted earlier in this very pass
                 }
                 if paged && !s.page_table.admissible_on(pool) {
-                    continue; // swapped out earlier in this very formation
+                    continue; // swapped out earlier in this very pass
                 }
                 let context_len = s.kv_len();
                 if paged {
                     let need = pages_for(context_len + 1, page_tokens);
-                    if !self.reserve_pages(
-                        pool,
-                        id,
-                        need,
-                        &items,
-                        &mut evicted_pages,
-                        &mut swapped_out,
-                    ) {
+                    if !self.reserve_pages(pool, id, need, &mut evicted_pages, &mut swapped_out) {
                         continue;
                     }
                 }
+                self.grant(id);
                 items.push(BatchItem { id, phase: Phase::Decode, tokens: 1, context_len });
                 last_granted = Some(id);
                 tokens += 1;
             }
-            self.scratch_ids = decoding;
+            self.queues[qi].decoding = lane;
+            self.settle();
             if let Some(last) = last_granted {
                 let cursors = &mut self.queues[qi].last_decode;
                 if cursors.len() <= pool {
@@ -1261,28 +1388,18 @@ impl Scheduler {
         // preempt like a decode slot; a fresh admission defers instead when
         // free pages fall short of its projected need — and defers the rest
         // of the queue with it, so admission keeps strict policy order.
-        if phase.prefill() {
-            let mut waiting = std::mem::take(&mut self.scratch_ids);
-            waiting.clear();
-            waiting.extend(
-                self.queues[qi]
-                    .waiting
-                    .iter()
-                    .copied()
-                    .filter(|&id| self.eligible_on(id, now, pool)),
-            );
-            if policy == SchedulingPolicy::ShortestPrefillFirst {
-                waiting.sort_by_key(|&id| (self.sessions[self.sidx(id)].remaining_prefill(), id));
-            }
-            for k in 0..waiting.len() {
-                let id = waiting[k];
+        if phase.prefill() && self.queues[qi].waiting.serves(pool) {
+            let lane = std::mem::take(&mut self.queues[qi].waiting);
+            for (_, id) in lane.merged(pool, None) {
                 if items.len() >= max_batch || tokens >= token_budget {
                     break;
                 }
-                if items.iter().any(|it| it.id == id) {
+                self.examined += 1;
+                // In flight covers the sessions this batch already holds.
+                let s = &self.sessions[self.sidx(id)];
+                if s.in_flight || !s.is_runnable(now) {
                     continue;
                 }
-                let s = &self.sessions[self.sidx(id)];
                 let room = token_budget - tokens;
                 let chunk = s.remaining_prefill().min(prefill_chunk).min(room);
                 let context_len = s.prefilled_tokens + chunk;
@@ -1299,6 +1416,15 @@ impl Scheduler {
                         if self.pools[pool].free_pages() < need {
                             break;
                         }
+                        // The admission homes the session on `pool`. With
+                        // one pool its lane bucket stays put and only the
+                        // holder set changes, at once: the session is in
+                        // this batch, so no victim search picks it.
+                        if self.pools.len() > 1 {
+                            self.touch(id);
+                        } else {
+                            self.holders.insert(pool, id);
+                        }
                         let i = self.sidx(id);
                         let grown =
                             self.sessions[i].page_table.grow(pool, &mut self.pools[pool], need);
@@ -1307,17 +1433,18 @@ impl Scheduler {
                         pool,
                         id,
                         need,
-                        &items,
                         &mut evicted_pages,
                         &mut swapped_out,
                     ) {
                         break;
                     }
                 }
+                self.grant(id);
                 items.push(BatchItem { id, phase: Phase::Prefill, tokens: chunk, context_len });
                 tokens += chunk;
             }
-            self.scratch_ids = waiting;
+            self.queues[qi].waiting = lane;
+            self.settle();
         }
 
         debug_assert!(tokens <= token_budget, "token budget exceeded");
@@ -1337,19 +1464,11 @@ impl Scheduler {
     /// nothing allocated — if even evicting every eligible victim would not
     /// free enough pages. Victims are planned first and only then committed,
     /// so a failed reclaim has no side effects.
-    ///
-    /// Under [`PreemptionMode::Swap`] on a [`PoolRole::Decode`] pool each
-    /// victim is paged *out* over the NoC into the prefill pool with the
-    /// most free pages instead of dropping its cache: the session keeps its
-    /// KV (no recompute debt) and is paged back in by the executor's
-    /// migration path once the decode pool has room again. A victim no
-    /// prefill pool can hold falls back to a recompute eviction.
     fn reserve_pages(
         &mut self,
         pool: usize,
         id: RequestId,
         need: usize,
-        in_batch: &[BatchItem],
         evicted_pages: &mut usize,
         swapped_out: &mut Vec<SwapOut>,
     ) -> bool {
@@ -1363,46 +1482,57 @@ impl Scheduler {
         if reclaimable < growth {
             // Most-recently-admitted first: the newest page holders pay,
             // which keeps the oldest session unpreemptable (liveness). Only
-            // sessions strictly younger than the requester, not in flight
-            // and not already in the forming batch may be evicted. Every
-            // page holder is an unfinished, released session, so the model
-            // queues enumerate exactly the candidate set — an
-            // in-flight-sized scan, not one over every session ever
-            // submitted.
-            let mut candidates = std::mem::take(&mut self.scratch_evict);
-            candidates.clear();
-            candidates.extend(
-                self.queues
-                    .iter()
-                    .flat_map(|q| q.waiting.iter().chain(q.decoding.iter()))
-                    .copied()
-                    .filter(|&v| {
-                        let s = &self.sessions[self.sidx(v)];
-                        s.page_table.home() == Some(pool)
-                            && v > id
-                            && !s.in_flight
-                            && !in_batch.iter().any(|it| it.id == v)
-                    }),
-            );
-            candidates.sort_unstable_by(|a, b| b.cmp(a));
-            for &victim in &candidates {
-                if reclaimable >= growth {
+            // sessions strictly younger than the requester and not in flight
+            // may be evicted — in flight covers the forming batch, whose
+            // sessions are marked as they are granted. The holders index
+            // files exactly the pool's page holders, youngest first; holders
+            // the running pass already evicted or swapped away stay filed
+            // until it ends, and the home check skips them.
+            for v in self.holders.youngest_first(pool) {
+                if reclaimable >= growth || v <= id {
                     break;
                 }
-                reclaimable += self.sessions[self.sidx(victim)].page_table.mapped_pages();
-                victims.push(victim);
+                let s = &self.sessions[self.sidx(v)];
+                if s.in_flight || s.page_table.home() != Some(pool) {
+                    continue;
+                }
+                reclaimable += s.page_table.mapped_pages();
+                victims.push(v);
             }
-            self.scratch_evict = candidates;
             if reclaimable < growth {
                 victims.clear();
                 self.scratch_victims = victims;
                 return false;
             }
         }
+        self.commit_victims(pool, &victims, evicted_pages, swapped_out);
+        victims.clear();
+        self.scratch_victims = victims;
+        let i = self.sidx(id);
+        let grown = self.sessions[i].page_table.grow(pool, &mut self.pools[pool], need);
+        debug_assert!(grown, "reclaim guaranteed the free pages");
+        true
+    }
+
+    /// Preempts every planned victim out of `pool`.
+    ///
+    /// Under [`PreemptionMode::Swap`] on a [`PoolRole::Decode`] pool each
+    /// victim is paged *out* over the NoC into the prefill pool with the
+    /// most free pages instead of dropping its cache: the session keeps its
+    /// KV (no recompute debt) and is paged back in by the executor's
+    /// migration path once the decode pool has room again. A victim no
+    /// prefill pool can hold falls back to a recompute eviction.
+    fn commit_victims(
+        &mut self,
+        pool: usize,
+        victims: &[RequestId],
+        evicted_pages: &mut usize,
+        swapped_out: &mut Vec<SwapOut>,
+    ) {
         let swap_eligible =
             self.kv.preemption == PreemptionMode::Swap && self.pool_role(pool) == PoolRole::Decode;
-        for k in 0..victims.len() {
-            let victim = victims[k];
+        for &victim in victims {
+            self.touch(victim);
             let vi = self.sidx(victim);
             let victim_pages = self.sessions[vi].page_table.mapped_pages();
             let swap_target = if swap_eligible && self.sessions[vi].state == SessionState::Decoding
@@ -1413,8 +1543,8 @@ impl Scheduler {
             };
             if let Some(dst) = swap_target {
                 // Swap-out: page the victim's KV over the NoC into a prefill
-                // pool. It stays in the decoding queue with its cache intact
-                // and swaps back in through the executor's migration path.
+                // pool. It stays decoding with its cache intact and swaps
+                // back in through the executor's migration path.
                 let mut table = std::mem::take(&mut self.sessions[vi].page_table);
                 let (from, to) = self.pool_pair_mut(pool, dst);
                 let moved = table.migrate(from, dst, to).expect("free pages were just checked");
@@ -1441,25 +1571,11 @@ impl Scheduler {
                     self.pending_prefill.insert((s.request.arrival_cycle, victim), owed);
                 }
                 self.pending_prefill_total = self.pending_prefill_total - prev_owed + owed;
-                let model = s.request.model;
-                let queue = self
-                    .queues
-                    .iter_mut()
-                    .find(|q| q.model == model)
-                    .expect("page holders live in a model queue");
-                sorted_remove(&mut queue.decoding, victim);
-                sorted_insert(&mut queue.waiting, victim);
                 self.preempted += 1;
                 self.reprefill_tokens += lost_tokens;
                 *evicted_pages += released;
             }
         }
-        victims.clear();
-        self.scratch_victims = victims;
-        let i = self.sidx(id);
-        let grown = self.sessions[i].page_table.grow(pool, &mut self.pools[pool], need);
-        debug_assert!(grown, "reclaim guaranteed the free pages");
-        true
     }
 
     /// The prefill pool with the most free pages that can hold `pages`
@@ -1521,6 +1637,7 @@ impl Scheduler {
         if self.pools[to_pool].free_pages() < needed {
             return None;
         }
+        let slot = self.filed_slot(id);
         let mut table = std::mem::take(&mut self.sessions[i].page_table);
         let (from, to) = self.pool_pair_mut(from_pool, to_pool);
         let moved = table.migrate(from, to_pool, to).expect("free pages were just checked");
@@ -1530,6 +1647,7 @@ impl Scheduler {
         let bytes = s.request.model.config().kv_cache_bytes(s.kv_len(), KV_BITS);
         self.migrations += 1;
         self.migrated_pages += u64_from_usize(moved);
+        self.refile(id, slot);
         Some(Migration { pages: moved, bytes })
     }
 
@@ -1540,6 +1658,7 @@ impl Scheduler {
         let i = self.sidx(id);
         let s = &mut self.sessions[i];
         s.ready_cycle = s.ready_cycle.max(cycle);
+        self.ready_watermark = self.ready_watermark.max(cycle);
     }
 
     /// Applies the effects of an executed micro-batch at simulated cycle
@@ -1574,8 +1693,21 @@ impl Scheduler {
             .iter()
             .position(|q| q.model == batch.model)
             .expect("completed batch's model has a queue");
+        self.ready_watermark = self.ready_watermark.max(end_cycle);
         for item in &batch.items {
             let i = self.sidx(item.id);
+            // Where the session is filed, if this completion may move it: a
+            // decode step that does not finish the session changes neither
+            // its phase, nor its home, nor its rank.
+            let slot = match item.phase {
+                Phase::Decode
+                    if self.sessions[i].generated_tokens + 1
+                        < self.sessions[i].request.output_tokens =>
+                {
+                    None
+                }
+                _ => self.slot_of(qi, &self.sessions[i]),
+            };
             let s = &mut self.sessions[i];
             match item.phase {
                 Phase::Prefill => {
@@ -1642,23 +1774,260 @@ impl Scheduler {
                 }
             }
             self.in_flight_count -= 1;
-            let queue = &mut self.queues[qi];
-            match state {
-                SessionState::Prefilling => {}
-                SessionState::Decoding => {
-                    if item.phase == Phase::Prefill {
-                        // Prefill just completed: move to the decode queue.
-                        sorted_remove(&mut queue.waiting, item.id);
-                        sorted_insert(&mut queue.decoding, item.id);
-                    }
-                }
-                SessionState::Finished => {
-                    sorted_remove(&mut queue.waiting, item.id);
-                    sorted_remove(&mut queue.decoding, item.id);
-                    self.retired += 1;
-                }
+            if state == SessionState::Finished {
+                self.retired += 1;
+            }
+            // A completed prefill moves to the decode lane, a finished
+            // session leaves the index, a shortest-prefill-first rank
+            // follows the chunk.
+            if let Some(slot) = slot {
+                self.refile(item.id, slot);
             }
         }
+    }
+}
+
+/// The formation the ready index replaced, kept as the reference the
+/// property test below holds [`Scheduler::next_micro_batch_phased`] to:
+/// every pass filters the model's *whole* queue through the eligibility
+/// check, sorts the survivors into policy order, and searches preemption
+/// victims across every queued session. Only the effects — page growth,
+/// eviction, swap-out and the re-filing they trigger — are shared.
+#[cfg(test)]
+impl Scheduler {
+    /// Whether `id` may be scheduled at `now` out of KV pool `pool`: not in
+    /// flight, runnable and — under a bounded configuration — homeless or
+    /// homed on `pool`.
+    fn eligible_on(&self, id: RequestId, now: u64, pool: usize) -> bool {
+        let s = &self.sessions[self.sidx(id)];
+        !s.in_flight
+            && s.is_runnable(now)
+            && (self.pools.is_empty() || s.page_table.admissible_on(pool))
+    }
+
+    /// Every session of queue `qi` in one phase, in id order.
+    fn members_sorted(&self, qi: usize, decoding: bool) -> Vec<RequestId> {
+        let q = &self.queues[qi];
+        let lane = if decoding { &q.decoding } else { &q.waiting };
+        let mut ids: Vec<RequestId> = lane.all().map(|&(_, id)| id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The reference [`Scheduler::next_micro_batch_phased`].
+    pub(crate) fn next_micro_batch_reference(
+        &mut self,
+        now: u64,
+        pool: usize,
+        phase: PhaseFilter,
+    ) -> Option<MicroBatch> {
+        self.release_arrivals(now);
+        let mut candidates = Vec::new();
+        for qi in 0..self.queues.len() {
+            let first = |decoding| {
+                self.members_sorted(qi, decoding)
+                    .into_iter()
+                    .find(|&id| self.eligible_on(id, now, pool))
+            };
+            let dec = if phase.decode() { first(true) } else { None };
+            let wait = if phase.prefill() { first(false) } else { None };
+            let oldest = match (dec, wait) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            if let Some(oldest) = oldest {
+                candidates.push((self.queues[qi].last_served, oldest, qi));
+            }
+        }
+        candidates.sort();
+        for (_, _, qi) in candidates {
+            let (items, evicted_pages, swapped_out) = self.try_form_reference(now, pool, qi, phase);
+            if items.is_empty() {
+                continue;
+            }
+            self.serve_counter += 1;
+            self.queues[qi].last_served = self.serve_counter;
+            for item in &items {
+                let i = self.sidx(item.id);
+                self.sessions[i].in_flight = true;
+            }
+            self.in_flight_count += items.len();
+            return Some(MicroBatch {
+                model: self.queues[qi].model,
+                items,
+                evicted_pages,
+                swapped_out,
+            });
+        }
+        None
+    }
+
+    /// The reference [`Scheduler::try_form`].
+    fn try_form_reference(
+        &mut self,
+        now: u64,
+        pool: usize,
+        qi: usize,
+        phase: PhaseFilter,
+    ) -> (Vec<BatchItem>, usize, Vec<SwapOut>) {
+        let SchedulerConfig { max_batch, token_budget, prefill_chunk, policy, decode_order } =
+            self.config;
+        let page_tokens = self.kv.page_tokens;
+        let paged = !self.pools.is_empty();
+        let mut items: Vec<BatchItem> = Vec::new();
+        let mut tokens = 0usize;
+        let mut evicted_pages = 0usize;
+        let mut swapped_out: Vec<SwapOut> = Vec::new();
+        if phase.decode() {
+            let mut decoding: Vec<RequestId> = self
+                .members_sorted(qi, true)
+                .into_iter()
+                .filter(|&id| self.eligible_on(id, now, pool))
+                .collect();
+            if decode_order == DecodeOrder::RoundRobin {
+                if let Some(last) = self.queues[qi].last_decode.get(pool).copied().flatten() {
+                    let split = decoding.partition_point(|&id| id <= last);
+                    if split < decoding.len() {
+                        decoding.rotate_left(split);
+                    }
+                }
+            }
+            let mut last_granted = None;
+            for id in decoding {
+                if items.len() >= max_batch || tokens >= token_budget {
+                    break;
+                }
+                let s = &self.sessions[self.sidx(id)];
+                if s.state != SessionState::Decoding || (paged && !s.page_table.admissible_on(pool))
+                {
+                    continue;
+                }
+                let context_len = s.kv_len();
+                if paged {
+                    let need = pages_for(context_len + 1, page_tokens);
+                    if !self.reserve_pages_reference(
+                        pool,
+                        id,
+                        need,
+                        &items,
+                        &mut evicted_pages,
+                        &mut swapped_out,
+                    ) {
+                        continue;
+                    }
+                }
+                items.push(BatchItem { id, phase: Phase::Decode, tokens: 1, context_len });
+                last_granted = Some(id);
+                tokens += 1;
+            }
+            self.settle();
+            if let Some(last) = last_granted {
+                let cursors = &mut self.queues[qi].last_decode;
+                if cursors.len() <= pool {
+                    cursors.resize(pool + 1, None);
+                }
+                cursors[pool] = Some(last);
+            }
+        }
+        if phase.prefill() {
+            let mut waiting: Vec<RequestId> = self
+                .members_sorted(qi, false)
+                .into_iter()
+                .filter(|&id| self.eligible_on(id, now, pool))
+                .collect();
+            if policy == SchedulingPolicy::ShortestPrefillFirst {
+                waiting.sort_by_key(|&id| (self.sessions[self.sidx(id)].remaining_prefill(), id));
+            }
+            for id in waiting {
+                if items.len() >= max_batch || tokens >= token_budget {
+                    break;
+                }
+                if items.iter().any(|it| it.id == id) {
+                    continue;
+                }
+                let s = &self.sessions[self.sidx(id)];
+                let chunk = s.remaining_prefill().min(prefill_chunk).min(token_budget - tokens);
+                let context_len = s.prefilled_tokens + chunk;
+                if paged {
+                    let emits = chunk == s.remaining_prefill() && s.first_token_cycle.is_none();
+                    let need = pages_for(context_len + usize::from(emits), page_tokens);
+                    if s.page_table.mapped_pages() == 0 {
+                        if self.pools[pool].free_pages() < need {
+                            break;
+                        }
+                        self.touch(id);
+                        let i = self.sidx(id);
+                        let grown =
+                            self.sessions[i].page_table.grow(pool, &mut self.pools[pool], need);
+                        assert!(grown, "free pages were just checked");
+                    } else if !self.reserve_pages_reference(
+                        pool,
+                        id,
+                        need,
+                        &items,
+                        &mut evicted_pages,
+                        &mut swapped_out,
+                    ) {
+                        break;
+                    }
+                }
+                items.push(BatchItem { id, phase: Phase::Prefill, tokens: chunk, context_len });
+                tokens += chunk;
+            }
+            self.settle();
+        }
+        self.evicted_pages += evicted_pages as u64;
+        (items, evicted_pages, swapped_out)
+    }
+
+    /// The reference [`Scheduler::reserve_pages`]: victims are every queued
+    /// page holder of `pool` younger than `id`, not in flight and not in the
+    /// forming batch, youngest first.
+    fn reserve_pages_reference(
+        &mut self,
+        pool: usize,
+        id: RequestId,
+        need: usize,
+        in_batch: &[BatchItem],
+        evicted_pages: &mut usize,
+        swapped_out: &mut Vec<SwapOut>,
+    ) -> bool {
+        let growth = need.saturating_sub(self.sessions[self.sidx(id)].page_table.mapped_pages());
+        if growth == 0 {
+            return true;
+        }
+        let mut reclaimable = self.pools[pool].free_pages();
+        let mut victims = Vec::new();
+        if reclaimable < growth {
+            let mut candidates: Vec<RequestId> = self
+                .queues
+                .iter()
+                .flat_map(ModelQueue::members)
+                .filter(|&v| {
+                    let s = &self.sessions[self.sidx(v)];
+                    s.page_table.home() == Some(pool)
+                        && v > id
+                        && !s.in_flight
+                        && !in_batch.iter().any(|it| it.id == v)
+                })
+                .collect();
+            candidates.sort_unstable_by(|a, b| b.cmp(a));
+            for victim in candidates {
+                if reclaimable >= growth {
+                    break;
+                }
+                reclaimable += self.sessions[self.sidx(victim)].page_table.mapped_pages();
+                victims.push(victim);
+            }
+            if reclaimable < growth {
+                return false;
+            }
+        }
+        self.commit_victims(pool, &victims, evicted_pages, swapped_out);
+        let i = self.sidx(id);
+        let grown = self.sessions[i].page_table.grow(pool, &mut self.pools[pool], need);
+        assert!(grown, "reclaim guaranteed the free pages");
+        true
     }
 }
 
@@ -2302,5 +2671,134 @@ mod tests {
         assert_eq!(sched.retire_finished_prefix(), 1);
         assert_eq!(sched.sessions().len(), 0);
         assert!(sched.all_finished());
+    }
+
+    /// The formation property's schedule generator: a 64-bit LCG, so one
+    /// drawn seed expands into a whole reproducible sequence of operations.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn ready_indexed_formation_matches_the_whole_queue_reference(
+            seed in any::<u64>(),
+            shortest_first in any::<bool>(),
+            fcfs_decode in any::<bool>(),
+            pools in 0usize..4,
+            swap in any::<bool>(),
+            pages in 6usize..24,
+            max_batch in 1usize..6,
+        ) {
+            // Random interleavings of submit, form, complete, migrate and
+            // preempt, over both admission policies, both decode orders,
+            // every phase filter and per-pool formation on up to three
+            // bounded pools (or an unbounded configuration): every batch
+            // the ready index forms, and every session, page and counter it
+            // leaves behind, equals what filtering the whole queue does.
+            let config = SchedulerConfig {
+                max_batch,
+                token_budget: 160,
+                prefill_chunk: 48,
+                policy: if shortest_first {
+                    SchedulingPolicy::ShortestPrefillFirst
+                } else {
+                    SchedulingPolicy::Fcfs
+                },
+                decode_order: if fcfs_decode { DecodeOrder::Fcfs } else { DecodeOrder::RoundRobin },
+            };
+            let page_tokens = 16;
+            let kv = if pools == 0 {
+                KvConfig::unbounded()
+            } else if swap {
+                KvConfig::bounded(page_tokens, pages).with_swap_preemption()
+            } else {
+                KvConfig::bounded(page_tokens, pages)
+            };
+            let mut sched = Scheduler::with_kv(config, kv);
+            if pools > 0 {
+                // With swap preemption pool 0 receives swapped-out decodes.
+                let roles: Vec<PoolRole> = (0..pools)
+                    .map(|p| match (swap && pools > 1, p) {
+                        (true, 0) => PoolRole::Prefill,
+                        (true, _) => PoolRole::Decode,
+                        (false, _) => PoolRole::Colocated,
+                    })
+                    .collect();
+                sched.configure_kv_pools_with_roles(&roles, 1);
+            }
+            let npools = pools.max(1);
+            let phases = [PhaseFilter::Both, PhaseFilter::PrefillOnly, PhaseFilter::DecodeOnly];
+            let mut rng = Lcg(seed);
+            let mut now = 0u64;
+            let mut pending: Vec<MicroBatch> = Vec::new();
+            for _ in 0..150 {
+                match rng.below(10) {
+                    0..=2 => {
+                        let model = if rng.below(2) == 0 { ModelId::Llama2_7b } else { ModelId::Llama2_13b };
+                        let prompt = 1 + rng.below(90) as usize;
+                        let output = 1 + rng.below(10) as usize;
+                        let arrival = now + rng.below(60);
+                        let _ = sched.try_submit(Request::new(model, prompt, output).arriving_at(arrival));
+                    }
+                    3..=6 => {
+                        now += rng.below(40);
+                        let pool = rng.below(npools as u64) as usize;
+                        let phase = phases[rng.below(3) as usize];
+                        let mut reference = sched.clone();
+                        let want = reference.next_micro_batch_reference(now, pool, phase);
+                        let got = sched.next_micro_batch_phased(now, pool, phase);
+                        prop_assert_eq!(&got, &want);
+                        prop_assert_eq!(sched.sessions(), reference.sessions());
+                        for p in 0..npools {
+                            prop_assert_eq!(sched.kv_free_pages(p), reference.kv_free_pages(p));
+                        }
+                        prop_assert_eq!(
+                            (sched.preemption_count(), sched.evicted_page_count(), sched.swap_out_count()),
+                            (reference.preemption_count(), reference.evicted_page_count(), reference.swap_out_count())
+                        );
+                        pending.extend(got);
+                    }
+                    7 | 8 => {
+                        if !pending.is_empty() {
+                            let batch = pending.swap_remove(rng.below(pending.len() as u64) as usize);
+                            sched.complete(&batch, now + rng.below(50));
+                        }
+                    }
+                    _ => {
+                        if rng.below(2) == 0 {
+                            // Migrate a decoding session that holds pages and
+                            // is not executing, as the executor's handoff does.
+                            let movable: Vec<(RequestId, Option<usize>)> = sched
+                                .sessions()
+                                .iter()
+                                .filter(|s| s.state == SessionState::Decoding && !s.in_flight)
+                                .filter(|s| pools == 0 || s.page_table.mapped_pages() > 0)
+                                .map(|s| (s.id, s.page_table.home()))
+                                .collect();
+                            if !movable.is_empty() {
+                                let (id, home) = movable[rng.below(movable.len() as u64) as usize];
+                                let to = rng.below(npools as u64) as usize;
+                                if home != Some(to) {
+                                    let _ = sched.migrate_session(id, to);
+                                }
+                            }
+                        } else {
+                            sched.preempt_pool_residents(rng.below(npools as u64) as usize);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
